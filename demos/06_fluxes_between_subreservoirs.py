@@ -45,7 +45,7 @@ print("phi/alpha^2 measured:", flux_expectations(env2, W, coup, with_rates=False
 print("\n=== dynamical confirmation at alpha = pi/4 ===")
 coup = CouplingSpec(np.pi / 4, v2, psi)
 res = flux_expectations(env2, W, coup)
-cov = CovarianceState(Window.auto(200, 2, 2), env2, W, coup)
+cov = CovarianceState(Window(0, env2.max_degree, 2), env2, W, coup)
 cov.step(200)
 for i in range(2):
     sim = flux_finite_time(cov, i)

@@ -32,7 +32,7 @@ from .disorder import (averaged_density, density_of_states,
                        enlarged_band_intervals, exact_band_intervals,
                        phases_in_bands)
 from .environment import ReservoirError, validate_symbol
-from .simulate import CovarianceState, FockOracle, WindowLeakageError
+from .simulate import CovarianceState, FockOracle
 from .walk import WalkError, is_cyclic
 
 __all__ = ["main", "run", "emit_plot_data", "matrix_to_csv"]
@@ -202,33 +202,28 @@ def _cmd_simulate(cfg, outdir, seed, threads):
     W, _ = cfg.walk.build()
     coup = cfg.coupling()
     state = asymptotic_symbol(cfg.environment, W, coup)
-    steps = int(cfg.options.get("steps",
-                                min(state.contraction.truncation_horizon(1e-9), 2000)))
-    if "window" in cfg.options:
-        a, b = cfg.options["window"]
-        window = Window(int(a), int(b), cfg.environment.m)
+    if "steps" in cfg.options:
+        steps = int(cfg.options["steps"])
     else:
-        window = Window.auto(steps, cfg.environment.max_degree, cfg.environment.m)
-    cov = CovarianceState(window, cfg.environment, W, coup,
-                          leakage_tol=cfg.options.get("leakage_tol", 1e-10))
+        steps = min(state.contraction.truncation_horizon(1e-9), 2000)
+    window = Window(0, cfg.environment.max_degree, cfg.environment.m)
+    cov = CovarianceState(window, cfg.environment, W, coup)
     trace_rows = []
     for t in range(1, steps + 1):
         cov.step(1)
         err = float(np.linalg.norm(cov.sample_block() - state.delta))
-        trace_rows.append([t, float(np.trace(cov.sample_block()).real),
-                           err, cov.leakage])
+        trace_rows.append([t, float(np.trace(cov.sample_block()).real), err])
     results = {
         "steps": steps,
         "window": [window.a, window.b],
         "final_error_to_delta": trace_rows[-1][2],
-        "final_leakage": cov.leakage,
         "final_sample_block": encode_complex_matrix(cov.sample_block()),
         "convergence": [[int(r[0]), r[2]] for r in trace_rows],
     }
     payload = _result_payload(cfg, "simulate", seed, threads, results)
     _write_result(outdir, "simulate.json", payload)
     _write_csv(os.path.join(outdir, "simulate_trace.csv"),
-               ["t", "sample_trace", "error_to_delta", "leakage"], trace_rows)
+               ["t", "sample_trace", "error_to_delta"], trace_rows)
     emit_plot_data(payload, "convergence", os.path.join(outdir, "convergence.csv"))
     return EXIT_OK
 
@@ -430,7 +425,7 @@ def main(argv=None) -> int:
     except (ConfigError, WalkError, ReservoirError, FileNotFoundError) as exc:
         print(f"fermiwalk: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CouplingError, WindowLeakageError) as exc:
+    except CouplingError as exc:
         print(f"fermiwalk: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -243,8 +243,7 @@ def _parse_disorder(section, path="disorder") -> DisorderModel:
 
 
 OPTION_FIELDS = {
-    "steps", "samples", "bins", "grid_size", "window", "t_max", "tail_tol",
-    "leakage_tol", "krylov_tol", "horizon_tol", "export_matrices",
+    "steps", "samples", "bins", "grid_size", "window", "krylov_tol", "export_matrices",
 }
 
 

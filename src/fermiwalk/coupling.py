@@ -237,22 +237,6 @@ class Window:
             raise CouplingError(
                 f"window [{self.a}, {self.b}] must contain site 0 strictly in its interior")
 
-    @classmethod
-    def auto(cls, steps: int, max_degree: int, m: int, symmetric: bool = False) -> "Window":
-        """Window sized so the truncation stays invisible for ``steps`` steps.
-
-        The incoming vacuum front moves one site per step, and an open
-        :class:`~fermiwalk.simulate.CovarianceState` on ``[a, b]`` is exact
-        for ``b - L_max`` steps.  The right extent ``steps + 2 L_max + 4``
-        therefore leaves ``L_max + 4`` spare steps.  The left edge only absorbs
-        outgoing radiation, which never acts back on the sample (the shift is
-        one-way), so a short left margin suffices; ``symmetric=True`` recovers
-        the centred window of total length ``2 steps + 4 L_max + 8``.
-        """
-        right = steps + 2 * max_degree + 4
-        left = right if symmetric else max_degree + 2
-        return cls(-left, right, m)
-
 
 def shift_matrix(n_sites: int, periodic: bool) -> sp.csr_matrix:
     """The site shift ``delta_k -> delta_{k-1}`` on the window (wrap if periodic)."""

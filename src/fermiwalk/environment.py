@@ -19,7 +19,6 @@ On the ``i``-th sector ``Sigma`` acts by Fourier multiplication with
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,10 +307,6 @@ def build_truncated_symbol(spec: EnvironmentSpec, window: tuple[int, int]) -> np
     if b < a:
         raise ReservoirError(f"empty window {window}")
     n_sites = b - a + 1
-    if n_sites < 2 * spec.max_degree + 1:
-        warnings.warn(
-            f"window of {n_sites} sites is shorter than 2*L_max+1 = {2 * spec.max_degree + 1}; "
-            "truncation bias may be visible", stacklevel=2)
     m = spec.m
     sites = np.arange(n_sites)
     out = np.zeros((n_sites * m, n_sites * m), dtype=complex)

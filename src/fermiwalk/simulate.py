@@ -2,9 +2,12 @@
 
 Three independent routes to the same expectations:
 
-* :class:`CovarianceState` propagates the truncated joint one-particle symbol
-  ``Sigma_{t+1} = T Sigma_t T*`` on a finite reservoir window (open boundary
-  for relaxation runs, periodic for oracle comparisons);
+* :class:`CovarianceState` propagates the joint one-particle symbol
+  ``Sigma_{t+1} = T Sigma_t T*`` on a reservoir window.  The open boundary is
+  the exact infinite reservoir: the site entering at the right edge is a
+  fresh reservoir site, whose rows are restored from ``Sigma_0`` after each
+  step.  The periodic boundary is the finite ring model that the oracle is
+  compared against;
 * :func:`finite_time_pair_expectation` evaluates the explicit finite-time
   sums for pair expectations, with the reservoir brackets reduced to symbol
   coefficients;
@@ -27,8 +30,6 @@ from .environment import EnvironmentSpec, build_truncated_symbol
 
 __all__ = [
     "CovarianceState",
-    "WindowLeakageError",
-    "evolve_covariance",
     "finite_time_pair_expectation",
     "flux_finite_time",
     "FockOracle",
@@ -38,25 +39,26 @@ __all__ = [
 ]
 
 
-class WindowLeakageError(RuntimeError):
-    """Propagated disturbance reached the window boundary; enlarge the window."""
-
-
 @dataclass
 class CovarianceState:
-    """Truncated joint one-particle symbol under ``Sigma -> T Sigma T*``.
+    """Joint one-particle symbol on a reservoir window under ``Sigma -> T Sigma T*``.
 
     Layout: reservoir window block first (site-major), then the sample block.
 
-    With open boundaries information moves strictly down-chain: the left edge
-    only absorbs outgoing radiation (no back-action on the sample), while the
-    right edge feeds in vacuum where the infinite reservoir would supply fresh
-    correlated sites.  The run is therefore faithful exactly while the vacuum
-    front, which after ``t`` steps covers sites ``b-t+1..b``, stays clear of
-    the sites ``<= L_max``: a hard step budget ``b - L_max`` (see
-    :attr:`step_budget`).  In addition the two outermost right-edge sites are
-    compared each step against the freely shifted reservoir (closed form) as
-    a safety net.  Crossing either guard raises :class:`WindowLeakageError`.
+    ``boundary="open"`` is the exact infinite reservoir at every ``t``.
+    Proof: ``Sigma_t[i, j] = <T^{t*} e_i, Sigma_0 T^{t*} e_j>``.  After each
+    step the site ``b`` entering at the right edge is a fresh reservoir site
+    whose backward vector sits at site ``b + t``, while the sample and every
+    site that has met the coupling have backward vectors on sites ``< t``.
+    For ``b >= L_max`` its rows are therefore its rows of ``Sigma_0``: the
+    Toeplitz entries with the fresh sites and zero elsewhere, and the step
+    restores them after ``T Sigma T*``.  The outgoing left sites never act
+    back (the shift is one-way), so ``Window(0, L_max, m)`` already holds
+    all the state the sample needs; an open window must hold sites
+    ``0..L_max``.
+
+    ``boundary="periodic"`` wraps the window into a finite ring, the model
+    that :class:`FockOracle` is compared against.
     """
 
     window: Window
@@ -65,12 +67,14 @@ class CovarianceState:
     coupling: CouplingSpec
     boundary: str = "open"
     sample_symbol: np.ndarray | None = None
-    leakage_tol: float = 1e-10
     sigma: np.ndarray = field(init=False)
     t: int = field(init=False, default=0)
-    leakage: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        if self.boundary == "open" and (self.window.a > 0 or self.window.b < self.env.max_degree):
+            raise CouplingError(
+                f"open window [{self.window.a}, {self.window.b}] must hold sites "
+                f"0..L_max = {self.env.max_degree}")
         self.W = np.asarray(self.W, dtype=complex)
         d = self.W.shape[0]
         if self.sample_symbol is None:
@@ -86,6 +90,8 @@ class CovarianceState:
         ne = self.window.env_dim
         self.sigma[:ne, :ne] = sigma_env
         self.sigma[ne:, ne:] = xi
+        # rows of the site entering at the right edge, restored after each open step
+        self._inflow = self.sigma[ne - self.env.m:ne].copy()
         # coupling rotation K = 1 + Vc C Vc^H on span{delta_0 x v, psi*}
         alpha = self.coupling.alpha
         Vc = np.stack([self.window.joint_env_vector(0, self.coupling.v, d),
@@ -99,40 +105,9 @@ class CovarianceState:
     def d(self) -> int:
         return self.W.shape[0]
 
-    @property
-    def step_budget(self) -> int:
-        """Steps for which the truncated run reproduces the infinite model.
-
-        The budget is ``b - L_max``, and it covers the block of the reservoir
-        sites ``<= L_max`` together with the sample.  Proof: ``Sigma_t[i, j] =
-        <T^{t*} e_i, Sigma_0 T^{t*} e_j>``, and ``T*`` carries a reservoir
-        vector at site ``k`` to sites ``<= k + t``, so every entry of that
-        block reads only the initial window while ``L_max + t <= b``.  The
-        bound is tight: at step ``b - L_max + 1`` the vacuum front replaces
-        ``c(0)`` in it.  An entry at a down-chain site ``k > L_max`` stays
-        exact only while ``k + t <= b``.
-        """
-        return self.window.b - self.env.max_degree
-
-    def _free_edge_rows(self) -> np.ndarray:
-        """Closed-form rows of the freely evolved symbol at the right edge."""
-        m = self.env.m
-        win = self.window
-        rows = np.zeros((2 * m, win.joint_dim(self.d)), dtype=complex)
-        for j, k in enumerate((win.b - 1, win.b)):
-            if k + self.t > win.b:
-                continue
-            for kp in range(win.a, win.b - self.t + 1):
-                off = win.site_offset(kp)
-                for wi in range(m):
-                    for wj in range(m):
-                        rows[j * m + wi, off + wj] = self.env.sigma_element(
-                            k, np.eye(m)[wi], kp, np.eye(m)[wj])
-        return rows
-
     def _free_left(self, X: np.ndarray) -> np.ndarray:
         """``(S_w (x) U  (+)  W) @ X`` acting on rows of a joint-space matrix."""
-        ns, m, ne = self.window.n_sites, self.env.m, self.window.env_dim
+        m, ne = self.env.m, self.window.env_dim
         out = np.empty_like(X)
         if self.boundary == "periodic":
             src = np.roll(X[:ne], -m, axis=0)
@@ -145,8 +120,8 @@ class CovarianceState:
             np.multiply(self.env.U[0, 0], src, out=dst)
         else:
             rows = src.shape[0] // m
-            np.matmul(self.env.U, src.reshape(rows, m, -1),
-                      out=dst.reshape(rows, m, -1))
+            np.matmul(self.env.U, src.reshape(rows, m, X.shape[1]),
+                      out=dst.reshape(rows, m, X.shape[1]))
         np.matmul(self.W, X[ne:], out=out[ne:])
         return out
 
@@ -164,25 +139,16 @@ class CovarianceState:
         # free conjugation, row side twice
         half = self._free_left(sigma)
         self.sigma = self._free_left(np.ascontiguousarray(half.conj().T)).conj().T
+        if self.boundary == "open":
+            ne, m = self.window.env_dim, self.env.m
+            self.sigma[ne - m:ne] = self._inflow
+            self.sigma[:, ne - m:ne] = self._inflow.conj().T
         self.t += 1
 
-    def step(self, steps: int = 1, enforce_leakage: bool = True) -> "CovarianceState":
-        """Advance ``steps`` steps, enforcing the truncation guards."""
-        if self.boundary == "open" and enforce_leakage and self.t + steps > self.step_budget:
-            raise WindowLeakageError(
-                f"step budget exceeded: {self.t + steps} > {self.step_budget} faithful steps "
-                f"on window [{self.window.a}, {self.window.b}]; enlarge the window")
-        m = self.env.m
-        edge = np.arange(self.window.env_dim - 2 * m, self.window.env_dim)
+    def step(self, steps: int = 1) -> "CovarianceState":
+        """Advance ``steps`` steps."""
         for _ in range(steps):
             self._step_once()
-        if self.boundary == "open":
-            dev = np.abs(self.sigma[edge, :] - self._free_edge_rows()).max()
-            self.leakage = max(self.leakage, float(dev))
-            if enforce_leakage and self.leakage > self.leakage_tol:
-                raise WindowLeakageError(
-                    f"right-edge deviation {self.leakage:.3e} > {self.leakage_tol:.1e} at "
-                    f"t = {self.t}; enlarge the window")
         return self
 
     def sample_block(self) -> np.ndarray:
@@ -202,11 +168,6 @@ class CovarianceState:
 
     def sample_vector(self, psi) -> np.ndarray:
         return self.window.joint_sample_vector(np.asarray(psi, dtype=complex))
-
-
-def evolve_covariance(state: CovarianceState, steps: int) -> CovarianceState:
-    """Functional wrapper around :meth:`CovarianceState.step`."""
-    return state.step(steps)
 
 
 def _sigma_bracket(env: EnvironmentSpec, comps1, comps2) -> complex:

@@ -5,7 +5,6 @@ here; the instances are frozen by explicit seeds and angle lists.
 """
 
 import time
-import warnings
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
 from fermiwalk.simulate import CovarianceState, FockOracle, flux_finite_time
 from fermiwalk.walk import (build_cycle_walk, cycle_star_vector, hadamard_coin,
                             random_coin, rotation_coin)
-
-warnings.filterwarnings("ignore", message="window of")
 
 THREADS = 2
 
@@ -127,8 +124,7 @@ def test_criterion_2_three_engine_agreement():
                 # (b) covariance relaxation vs the closed-form symbol
                 state = asymptotic_symbol(env, W, coup)
                 horizon = state.contraction.truncation_horizon(1e-9)
-                relax = CovarianceState(Window.auto(horizon, env.max_degree, m),
-                                        env, W, coup)
+                relax = CovarianceState(Window(0, env.max_degree, m), env, W, coup)
                 relax.step(horizon)
                 err = np.linalg.norm(relax.sample_block() - state.delta)
                 worst_delta = max(worst_delta, err)
@@ -148,7 +144,7 @@ def test_criterion_3_exponential_convergence():
     state = asymptotic_symbol(env, W, coup)
     spr = state.contraction.spectral_radius
     horizon = state.contraction.truncation_horizon(1e-7)
-    cov = CovarianceState(Window.auto(horizon, env.max_degree, 1), env, W, coup)
+    cov = CovarianceState(Window(0, env.max_degree, 1), env, W, coup)
     cov.step(horizon - 50)
     errors = []
     for _ in range(50):
@@ -237,7 +233,7 @@ def test_criterion_6_flux_suite():
 
     # finite-time simulated flux approaches the closed form
     coup = coupling_instance(2, np.pi / 4, psi)
-    cov = CovarianceState(Window.auto(200, env2.max_degree, 2), env2, W, coup)
+    cov = CovarianceState(Window(0, env2.max_degree, 2), env2, W, coup)
     cov.step(200)
     sim_dev = max(abs(flux_finite_time(cov, i) - res2.phi[i]) for i in range(2))
     assert sim_dev <= 1e-6

@@ -7,6 +7,7 @@ import pytest
 from fermiwalk.cli import main, matrix_to_csv
 from fermiwalk.config import (ConfigError, canonical_json, config_hash,
                               load_config, parse_config)
+from fermiwalk.coupling import ContractionM
 
 BASE_CONFIG = {
     "walk": {"kind": "cycle", "n": 4,
@@ -68,7 +69,7 @@ class TestConfigParsing:
 
     def test_negative_tolerance_rejected(self):
         bad = dict(BASE_CONFIG)
-        bad["options"] = {"leakage_tol": -1.0}
+        bad["options"] = {"krylov_tol": -1.0}
         with pytest.raises(ConfigError, match="positive"):
             parse_config(bad)
 
@@ -180,11 +181,23 @@ class TestCommands:
         assert res["steps"] == 40
         with open(tmp_path / "simulate_trace.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "sample_trace", "error_to_delta", "leakage"]
+        assert rows[0] == ["t", "sample_trace", "error_to_delta"]
         assert len(rows) == 41
         with open(tmp_path / "convergence.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "log_error"]
+
+    def test_simulate_configured_steps_skip_horizon(self, tmp_path, monkeypatch):
+        # the certified horizon is computed only when no step count is given
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("truncation_horizon called")
+
+        monkeypatch.setattr(ContractionM, "truncation_horizon", refuse)
+        cfg = dict(BASE_CONFIG)
+        cfg["options"] = {"steps": 40}
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        assert read_result(tmp_path, "simulate.json")["results"]["steps"] == 40
 
     def test_oracle_check(self, tmp_path):
         cfg = {

@@ -6,7 +6,6 @@ from fermiwalk.coupling import (CouplingError, CouplingSpec, Window,
                                 moller_sample_block, one_step_joint_operator,
                                 spectral_radius)
 from fermiwalk.environment import EnvironmentSpec, SymbolFunction
-from fermiwalk.simulate import CovarianceState
 from fermiwalk.walk import (build_cycle_walk, cycle_star_vector, is_cyclic,
                             random_coin, rotation_coin)
 
@@ -214,11 +213,3 @@ class TestWindow:
         assert win.site_offset(-3) == 0 and win.site_offset(2) == 10
         with pytest.raises(CouplingError, match="outside"):
             win.site_offset(3)
-
-    def test_auto_budget(self):
-        win = Window.auto(100, 2, 1)
-        assert win.b >= 100 + 2 * 2 + 4
-        assert win.a < 0 < win.b
-        W, psi = rotation_walk()
-        state = CovarianceState(win, env_m1(), W, CouplingSpec(0.9, np.array([1.0]), psi))
-        assert state.step_budget >= 100

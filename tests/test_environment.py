@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,10 +158,13 @@ class TestTruncatedSymbol:
         sig = build_truncated_symbol(env, (-8, 8))
         assert np.linalg.norm(sig - sig.conj().T) <= 1e-14
 
-    def test_short_window_warns(self):
-        env = env_m1()
-        with pytest.warns(UserWarning, match="truncation"):
-            build_truncated_symbol(env, (0, 2))
+    def test_short_window_is_exact_section(self):
+        # a finite section is exact on the sites it holds, however short
+        env = env_m1((0.5, 0.1 + 0.2j, 0.05))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            short = build_truncated_symbol(env, (0, 2))
+        assert np.array_equal(short, build_truncated_symbol(env, (-8, 8))[8:11, 8:11])
 
     def test_spectrum_in_symbol_range(self):
         env = env_m1()

@@ -1,19 +1,16 @@
-import warnings
-
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fermiwalk.asymptotics import asymptotic_symbol, flux_expectations
 from fermiwalk.coupling import (CouplingError, CouplingSpec, Window,
                                 build_contraction, one_step_joint_operator)
-from fermiwalk.environment import EnvironmentSpec, SymbolFunction
-from fermiwalk.simulate import (CovarianceState, FockOracle,
-                                WindowLeakageError, dense_fermion_ops,
-                                evolve_covariance, finite_time_pair_expectation,
-                                flux_finite_time, gamma_dense)
+from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
+                                   build_truncated_symbol)
+from fermiwalk.simulate import (CovarianceState, FockOracle, dense_fermion_ops,
+                                finite_time_pair_expectation, flux_finite_time,
+                                gamma_dense)
 from fermiwalk.walk import build_cycle_walk, cycle_star_vector, rotation_coin
-
-warnings.filterwarnings("ignore", message="window of")
 
 THETAS4 = (0.3, 0.8, 1.2, 0.5)
 
@@ -38,7 +35,8 @@ V2 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
 class TestCovarianceBasics:
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_block_step_matches_operator_conjugation(self, boundary):
-        # the structured fast step equals T Sigma T* with the explicit operator
+        # the structured fast step equals T Sigma T* with the explicit operator,
+        # followed on the open window by restoring the inflow site's rows
         rng = np.random.default_rng(6)
         U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
         env = EnvironmentSpec(U, [SymbolFunction((0.5, 0.1, 0.05)),
@@ -49,10 +47,15 @@ class TestCovarianceBasics:
         win = Window(-3, 6, 2)
         state = CovarianceState(win, env, W, coup, boundary=boundary)
         T = one_step_joint_operator(win, env, W, coup, boundary=boundary).toarray()
-        ref = state.sigma.copy()
+        sigma0 = state.sigma.copy()
+        inflow = slice(win.env_dim - 2, win.env_dim)
+        ref = sigma0.copy()
         for _ in range(5):
             ref = T @ ref @ T.conj().T
-        state.step(5, enforce_leakage=False)
+            if boundary == "open":
+                ref[inflow, :] = sigma0[inflow, :]
+                ref[:, inflow] = sigma0[:, inflow]
+        state.step(5)
         assert np.abs(state.sigma - ref).max() <= 1e-14
 
     def test_uncoupled_sample_evolves_freely(self):
@@ -87,29 +90,20 @@ class TestCovarianceBasics:
         W, psi = rotation_walk()
         env = env_m2()
         coup = CouplingSpec(0.9, V2, psi)
-        state = CovarianceState(Window.auto(40, 2, 2), env, W, coup)
+        state = CovarianceState(Window(0, 2, 2), env, W, coup)
         for _ in range(4):
             state.step(10)
             evals = np.linalg.eigvalsh(state.sigma)
             assert evals.min() >= -1e-10
             assert evals.max() <= 1.0 + 1e-10
 
-    def test_budget_guard(self):
-        W, psi = rotation_walk()
-        env = env_m1()
-        coup = CouplingSpec(0.9, np.array([1.0]), psi)
-        state = CovarianceState(Window(-3, 10, 1), env, W, coup)
-        assert state.step_budget == 8
-        state.step(8)
-        with pytest.raises(WindowLeakageError, match="enlarge"):
-            state.step(1)
-
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("L", [0, 1, 2, 4])
-    @pytest.mark.parametrize("extra", [1, 6])
-    def test_step_budget_is_exact(self, m, L, extra):
-        # the block of sites <= L_max plus the sample matches a much longer
-        # window through step_budget steps and departs from it one step later
+    @pytest.mark.parametrize("a", [0, -3])
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_open_window_is_exact(self, m, L, a, extra):
+        # sites 0..L plus the sample match, at every step, the zero-fill
+        # conjugation on a window longer than the run
         coeffs = (0.5,) + (0.05,) * L
         if m == 1:
             env, v = env_m1(coeffs), np.array([1.0])
@@ -119,34 +113,33 @@ class TestCovarianceBasics:
             v = V2
         W, psi = rotation_walk()
         coup = CouplingSpec(0.9, v, psi)
-        b = L + extra
-        short = CovarianceState(Window(-3, b, m), env, W, coup)
-        long = CovarianceState(Window(-3, b + 100, m), env, W, coup)
-        assert short.step_budget == b - L
+        rng = np.random.default_rng(11)
+        basis = np.linalg.qr(rng.standard_normal((8, 8))
+                             + 1j * rng.standard_normal((8, 8)))[0]
+        xi = basis @ np.diag(rng.uniform(0, 1, 8)) @ basis.conj().T
+        steps = 60
+        state = CovarianceState(Window(a, L + extra, m), env, W, coup, sample_symbol=xi)
+        long = Window(-1, L + steps + 1, m)
+        T = one_step_joint_operator(long, env, W, coup, "open").toarray()
+        ref = scipy.linalg.block_diag(build_truncated_symbol(env, (long.a, long.b)), xi)
 
-        def block(state):
-            # sites -3..L and the sample
-            keep = np.r_[0:(L + 4) * m, state.window.env_dim:state.window.joint_dim(state.d)]
-            return state.sigma[np.ix_(keep, keep)]
+        def block(sigma, win):
+            keep = np.r_[win.site_offset(0):win.site_offset(L) + m, win.env_dim:win.joint_dim(8)]
+            return sigma[np.ix_(keep, keep)]
 
-        def deviation():
-            return np.abs(block(short) - block(long)).max()
+        for _ in range(steps):
+            state.step(1)
+            ref = T @ ref @ T.conj().T
+            assert np.abs(block(state.sigma, state.window) - block(ref, long)).max() <= 1e-13
 
-        for _ in range(short.step_budget):
-            short.step(1)
-            long.step(1)
-            assert deviation() <= 1e-13
-        assert short.leakage <= short.leakage_tol
-        short.step(1, enforce_leakage=False)
-        long.step(1)
-        assert deviation() > 1e-3
-
-    def test_evolve_wrapper(self):
+    def test_open_window_must_hold_frame(self):
         W, psi = rotation_walk()
         env = env_m1()
         coup = CouplingSpec(0.9, np.array([1.0]), psi)
-        state = CovarianceState(Window(-3, 20, 1), env, W, coup)
-        assert evolve_covariance(state, 3) is state and state.t == 3
+        for window in (Window(1, 6, 1), Window(-3, 1, 1)):
+            with pytest.raises(CouplingError, match="0..L_max"):
+                CovarianceState(window, env, W, coup)
+        CovarianceState(Window(-3, 1, 1), env, W, coup, boundary="periodic")
 
 
 class TestConvergenceToDelta:
@@ -156,7 +149,7 @@ class TestConvergenceToDelta:
         coup = CouplingSpec(1.0, V2, psi)
         target = asymptotic_symbol(env, W, coup)
         horizon = target.contraction.truncation_horizon(1e-9)
-        state = CovarianceState(Window.auto(horizon, env.max_degree, env.m), env, W, coup)
+        state = CovarianceState(Window(0, env.max_degree, env.m), env, W, coup)
         state.step(horizon)
         assert np.linalg.norm(state.sample_block() - target.delta) <= 1e-8
 
@@ -168,7 +161,7 @@ class TestConvergenceToDelta:
         spr = target.contraction.spectral_radius
         # stop while the residual is still far above the numerical floor
         horizon = target.contraction.truncation_horizon(1e-7)
-        state = CovarianceState(Window.auto(horizon, env.max_degree, 1), env, W, coup)
+        state = CovarianceState(Window(0, env.max_degree, 1), env, W, coup)
         state.step(horizon - 50)
         errs = []
         for _ in range(50):
@@ -189,7 +182,7 @@ class TestConvergenceToDelta:
         xi = basis @ np.diag(rng.uniform(0, 1, 8)) @ basis.conj().T
         blocks = []
         for sample_symbol in (None, xi):
-            state = CovarianceState(Window.auto(horizon, 2, 1), env, W, coup,
+            state = CovarianceState(Window(0, 2, 1), env, W, coup,
                                     sample_symbol=sample_symbol)
             state.step(horizon)
             blocks.append(state.sample_block())
@@ -221,7 +214,7 @@ class TestFiniteTimeFormulas:
         with pytest.raises(CouplingError, match=">= 0"):
             finite_time_pair_expectation(env, W, coup, "bb", [(-1, [1, 0])], [(0, [1, 0])], 2)
 
-    @pytest.mark.parametrize("t", [1, 7, 25])
+    @pytest.mark.parametrize("t", [1, 7, 25, 300])
     def test_aa_matches_covariance(self, t):
         env = env_m2()
         W, psi = rotation_walk()
@@ -230,7 +223,8 @@ class TestFiniteTimeFormulas:
         basis = np.linalg.qr(rng.standard_normal((8, 8))
                              + 1j * rng.standard_normal((8, 8)))[0]
         xi = basis @ np.diag(rng.uniform(0, 1, 8)) @ basis.conj().T
-        state = CovarianceState(Window(-4, t + 10, 2), env, W, coup, sample_symbol=xi)
+        window = Window(0, env.max_degree, 2) if t == 300 else Window(-4, t + 10, 2)
+        state = CovarianceState(window, env, W, coup, sample_symbol=xi)
         state.step(t)
         psi1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -240,12 +234,13 @@ class TestFiniteTimeFormulas:
                                            state.sample_vector(psi2))
         assert closed == pytest.approx(simulated, abs=1e-11)
 
-    @pytest.mark.parametrize("t", [1, 6, 20])
+    @pytest.mark.parametrize("t", [1, 6, 20, 300])
     def test_ba_matches_covariance(self, t):
         env = env_m2()
         W, psi = rotation_walk()
         coup = CouplingSpec(0.9, V2, psi)
-        state = CovarianceState(Window(-4, t + 12, 2), env, W, coup)
+        window = Window(0, env.max_degree, 2) if t == 300 else Window(-4, t + 12, 2)
+        state = CovarianceState(window, env, W, coup)
         state.step(t)
         rng = np.random.default_rng(3)
         w1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -307,7 +302,7 @@ class TestFluxFiniteTime:
         env = env_m1()
         W, psi = rotation_walk()
         coup = CouplingSpec(1.0, np.array([1.0]), psi)
-        state = CovarianceState(Window.auto(150, 2, 1), env, W, coup)
+        state = CovarianceState(Window(0, 2, 1), env, W, coup)
         state.step(150)
         assert abs(flux_finite_time(state, 0)) <= 1e-8
 
@@ -334,7 +329,7 @@ class TestFluxFiniteTime:
         W, psi = rotation_walk()
         coup = CouplingSpec(np.pi / 4, V2, psi)
         res = flux_expectations(env, W, coup)
-        state = CovarianceState(Window.auto(200, 2, 2), env, W, coup)
+        state = CovarianceState(Window(0, 2, 2), env, W, coup)
         state.step(200)
         for i in range(2):
             assert abs(flux_finite_time(state, i) - res.phi[i]) <= 1e-6
