@@ -25,8 +25,8 @@ from . import __version__
 from .asymptotics import (asymptotic_symbol, flux_expectations,
                           node_correlations, node_profile,
                           particle_number_distribution)
-from .config import (COMMANDS, ConfigError, ExperimentConfig, canonical_json,
-                     encode_complex_matrix, load_config)
+from .config import (COMMAND_OPTIONS, COMMANDS, ConfigError, ExperimentConfig,
+                     canonical_json, encode_complex_matrix, load_config)
 from .coupling import CouplingError, Window
 from .disorder import (averaged_density, density_of_states,
                        enlarged_band_intervals, exact_band_intervals,
@@ -342,6 +342,9 @@ def run(cfg: ExperimentConfig, command: str | None = None, outdir: str | None = 
     command = command or cfg.command
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
+    unread = sorted(set(cfg.options) - COMMAND_OPTIONS[command])
+    if unread:
+        raise ConfigError(f"config.options.{unread[0]}: not read by {command}")
     outdir = outdir or cfg.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
     if seed is None:

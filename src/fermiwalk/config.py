@@ -30,8 +30,18 @@ __all__ = [
     "encode_complex_vector",
 ]
 
-COMMANDS = ("validate", "asymptotic", "flux", "profile", "simulate",
-            "oracle_check", "disorder_dos", "averaged_density")
+# the options each command reads; the runner rejects any other
+COMMAND_OPTIONS = {
+    "validate": frozenset({"krylov_tol", "grid_size", "export_matrices"}),
+    "asymptotic": frozenset({"export_matrices"}),
+    "flux": frozenset(),
+    "profile": frozenset(),
+    "simulate": frozenset({"steps"}),
+    "oracle_check": frozenset({"window", "steps"}),
+    "disorder_dos": frozenset({"samples", "bins"}),
+    "averaged_density": frozenset({"samples"}),
+}
+COMMANDS = tuple(COMMAND_OPTIONS)
 
 
 class ConfigError(ValueError):
@@ -242,9 +252,7 @@ def _parse_disorder(section, path="disorder") -> DisorderModel:
     )
 
 
-OPTION_FIELDS = {
-    "steps", "samples", "bins", "grid_size", "window", "krylov_tol", "export_matrices",
-}
+OPTION_FIELDS = frozenset().union(*COMMAND_OPTIONS.values())
 
 
 @dataclass

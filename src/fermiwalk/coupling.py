@@ -213,13 +213,6 @@ class Window:
             raise CouplingError(f"site {k} outside window [{self.a}, {self.b}]")
         return (k - self.a) * self.m
 
-    def env_vector(self, k: int, w: np.ndarray) -> np.ndarray:
-        """Reservoir-space vector ``delta_k (x) w`` on the window."""
-        out = np.zeros(self.env_dim, dtype=complex)
-        off = self.site_offset(k)
-        out[off:off + self.m] = np.asarray(w, dtype=complex)
-        return out
-
     def joint_env_vector(self, k: int, w: np.ndarray, d: int) -> np.ndarray:
         out = np.zeros(self.joint_dim(d), dtype=complex)
         off = self.site_offset(k)
@@ -251,21 +244,20 @@ def shift_matrix(n_sites: int, periodic: bool) -> sp.csr_matrix:
 
 
 def coupling_exponential(window: Window, env: EnvironmentSpec,
-                         coupling: CouplingSpec, d: int,
-                         sign: float = -1.0) -> sp.csr_matrix:
-    """``exp(sign * i alpha (iota + iota*))`` on the joint window space.
+                         coupling: CouplingSpec, d: int) -> sp.csr_matrix:
+    """``exp(-i alpha (iota + iota*))`` on the joint window space.
 
     Computed in closed form on the invariant plane spanned by
-    ``delta_0 (x) v`` and ``psi*`` (a cos/sin rotation); identity elsewhere.
+    ``delta_0 (x) v`` and ``psi*``: the sparse rank-2 rotation
+    ``1 + Vc C Vc^H`` with ``Vc = [delta_0 (x) v | psi*]``; identity elsewhere.
     """
-    window.require_zero_interior()
     alpha = coupling.alpha
-    u = window.joint_env_vector(0, coupling.v, d)
-    s = window.joint_sample_vector(coupling.star())
+    Vc = sp.csr_matrix(np.stack([window.joint_env_vector(0, coupling.v, d),
+                                 window.joint_sample_vector(coupling.star())], axis=1))
+    C = sp.csr_matrix(np.array([[np.cos(alpha) - 1.0, -1j * np.sin(alpha)],
+                                [-1j * np.sin(alpha), np.cos(alpha) - 1.0]]))
     N = window.joint_dim(d)
-    rot = ((np.cos(alpha) - 1.0) * (np.outer(u, u.conj()) + np.outer(s, s.conj()))
-           + sign * 1j * np.sin(alpha) * (np.outer(u, s.conj()) + np.outer(s, u.conj())))
-    return sp.identity(N, format="csr", dtype=complex) + sp.csr_matrix(rot)
+    return sp.identity(N, format="csr", dtype=complex) + Vc @ C @ Vc.conj().T
 
 
 def one_step_joint_operator(window: Window, env: EnvironmentSpec, W: np.ndarray,

@@ -250,7 +250,7 @@ def validate_symbol(spec: EnvironmentSpec, grid_size: int = 4096) -> ValidationR
     return ValidationReport(passed, tuple(minima), tuple(maxima), tuple(worst), grid_size)
 
 
-def eval_series(F: SymbolFunction, B: np.ndarray, spr_bound: float | None = None) -> np.ndarray:
+def eval_series(F: SymbolFunction, B: np.ndarray) -> np.ndarray:
     """``F(B) = c(0)/2 + sum_l c(l) B^l`` by iterated multiplication.
 
     ``B`` must be a contraction (``||B|| <= 1`` up to 1e-10); the finite

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .coupling import CouplingError, CouplingSpec, Window, build_contraction
+from .coupling import (CouplingError, CouplingSpec, Window, build_contraction,
+                       one_step_joint_operator, shift_matrix)
 from .environment import EnvironmentSpec, build_truncated_symbol
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "finite_time_pair_expectation",
     "flux_finite_time",
     "FockOracle",
-    "dense_fermion_ops",
     "sparse_fermion_ops",
     "gamma_dense",
 ]
@@ -43,7 +43,9 @@ __all__ = [
 class CovarianceState:
     """Joint one-particle symbol on a reservoir window under ``Sigma -> T Sigma T*``.
 
-    Layout: reservoir window block first (site-major), then the sample block.
+    ``T`` is :func:`~fermiwalk.coupling.one_step_joint_operator` on the
+    window.  Layout: reservoir window block first (site-major), then the
+    sample block.
 
     ``boundary="open"`` is the exact infinite reservoir at every ``t``.
     Proof: ``Sigma_t[i, j] = <T^{t*} e_i, Sigma_0 T^{t*} e_j>``.  After each
@@ -77,6 +79,10 @@ class CovarianceState:
                 f"0..L_max = {self.env.max_degree}")
         self.W = np.asarray(self.W, dtype=complex)
         d = self.W.shape[0]
+        # the joint step T and its entrywise conjugate, for Sigma -> T Sigma T*
+        self._T = one_step_joint_operator(self.window, self.env, self.W, self.coupling,
+                                          self.boundary)
+        self._Tc = self._T.conj()
         if self.sample_symbol is None:
             xi = np.zeros((d, d), dtype=complex)
         else:
@@ -92,53 +98,14 @@ class CovarianceState:
         self.sigma[ne:, ne:] = xi
         # rows of the site entering at the right edge, restored after each open step
         self._inflow = self.sigma[ne - self.env.m:ne].copy()
-        # coupling rotation K = 1 + Vc C Vc^H on span{delta_0 x v, psi*}
-        alpha = self.coupling.alpha
-        Vc = np.stack([self.window.joint_env_vector(0, self.coupling.v, d),
-                       self.window.joint_sample_vector(self.coupling.star())], axis=1)
-        C = np.array([[np.cos(alpha) - 1.0, -1j * np.sin(alpha)],
-                      [-1j * np.sin(alpha), np.cos(alpha) - 1.0]])
-        self._Vc = Vc
-        self._VcC = Vc @ C
 
     @property
     def d(self) -> int:
         return self.W.shape[0]
 
-    def _free_left(self, X: np.ndarray) -> np.ndarray:
-        """``(S_w (x) U  (+)  W) @ X`` acting on rows of a joint-space matrix."""
-        m, ne = self.env.m, self.window.env_dim
-        out = np.empty_like(X)
-        if self.boundary == "periodic":
-            src = np.roll(X[:ne], -m, axis=0)
-            dst = out[:ne]
-        else:
-            src = X[m:ne]
-            dst = out[:ne - m]
-            out[ne - m:ne] = 0.0
-        if m == 1:
-            np.multiply(self.env.U[0, 0], src, out=dst)
-        else:
-            rows = src.shape[0] // m
-            np.matmul(self.env.U, src.reshape(rows, m, X.shape[1]),
-                      out=dst.reshape(rows, m, X.shape[1]))
-        np.matmul(self.W, X[ne:], out=out[ne:])
-        return out
-
     def _step_once(self):
-        """One step ``Sigma -> T Sigma T*`` via the block structure of ``T``."""
-        sigma = self.sigma
-        # coupling rotation K Sigma K* = Sigma + [VC | Y + VC Z] [X ; VC^H]
-        X = self._Vc.conj().T @ sigma
-        Y = sigma @ self._Vc
-        Z = self._Vc.conj().T @ Y
-        VC = self._VcC
-        left = np.concatenate([VC, Y + VC @ Z], axis=1)
-        right = np.concatenate([X, VC.conj().T], axis=0)
-        np.add(sigma, left @ right, out=sigma)
-        # free conjugation, row side twice
-        half = self._free_left(sigma)
-        self.sigma = self._free_left(np.ascontiguousarray(half.conj().T)).conj().T
+        """One step ``Sigma -> T Sigma T*``, as ``conj(T) (T Sigma)^T`` transposed."""
+        self.sigma = (self._Tc @ (self._T @ self.sigma).T).T
         if self.boundary == "open":
             ne, m = self.window.env_dim, self.env.m
             self.sigma[ne - m:ne] = self._inflow
@@ -292,23 +259,6 @@ def flux_finite_time(state: CovarianceState, i: int) -> float:
 # Jordan-Wigner machinery
 
 
-def dense_fermion_ops(n_modes: int) -> list[np.ndarray]:
-    """Dense annihilation operators ``c_0 .. c_{n-1}`` (mode 0 carries no string)."""
-    if n_modes > 10:
-        raise CouplingError(f"dense fermion ops capped at 10 modes, got {n_modes}")
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # c = |0><1|
-    zmat = np.diag([1.0, -1.0])
-    eye = np.eye(2)
-    ops = []
-    for k in range(n_modes):
-        factors = [zmat] * k + [lower] + [eye] * (n_modes - k - 1)
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        ops.append(op.astype(complex))
-    return ops
-
-
 def sparse_fermion_ops(n_modes: int) -> list[sp.csr_matrix]:
     """Sparse annihilation operators on ``2^n_modes`` dimensions."""
     lower = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -375,10 +325,10 @@ class FockOracle:
     """
 
     MAX_MODES = 14
+    MAX_ENSEMBLE = 1024
 
     def __init__(self, env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpec,
                  window: Window, sample_symbol: np.ndarray | None = None,
-                 max_ensemble: int = 1024, verify: bool = True,
                  ensemble: tuple | None = None):
         W = np.asarray(W, dtype=complex)
         d = W.shape[0]
@@ -404,7 +354,8 @@ class FockOracle:
         Q_S = _complete_basis_first(coupling.star())
         self.Q_E, self.Q_S = Q_E, Q_S
 
-        S_circ_U = sp.kron(_circulant_shift(window.n_sites), sp.csr_matrix(env.U)).toarray()
+        S_circ_U = sp.kron(shift_matrix(window.n_sites, periodic=True),
+                           sp.csr_matrix(env.U)).toarray()
         V_E = Q_E.conj().T @ S_circ_U @ Q_E
         V_S = Q_S.conj().T @ W @ Q_S
         self.G_E = gamma_dense(V_E)
@@ -416,8 +367,6 @@ class FockOracle:
                             [0, 0, 0, 1]], dtype=complex)
 
         self._c_ops = sparse_fermion_ops(D)
-        if verify:
-            self._verify_car()
 
         if ensemble is not None:
             # user-supplied mixture of pure many-body states (amplitudes over
@@ -451,10 +400,10 @@ class FockOracle:
         lam = np.clip(lam, 0.0, 1.0)
         frac = np.where((lam > 1e-12) & (lam < 1.0 - 1e-12))[0]
         filled = np.where(lam >= 1.0 - 1e-12)[0]
-        if 2 ** len(frac) > max_ensemble:
+        if 2 ** len(frac) > self.MAX_ENSEMBLE:
             raise CouplingError(
                 f"{len(frac)} fractional modes need 2^{len(frac)} ensemble states "
-                f"( > {max_ensemble})")
+                f"( > {self.MAX_ENSEMBLE})")
         cdag_modes = {}
         for mode in set(filled) | set(frac):
             op = sum(modes[mu, mode] * self._c_ops[mu].conj().T for mu in range(D)
@@ -484,23 +433,6 @@ class FockOracle:
         for mode in occupied:
             vec = cdag_modes[mode] @ vec
         return vec
-
-    def _verify_car(self, tol: float = 1e-12):
-        rng = np.random.default_rng(7)
-        pairs = [(i, j) for i in range(self.D) for j in range(self.D)]
-        if self.D > 8:
-            idx = rng.choice(len(pairs), size=40, replace=False)
-            pairs = [pairs[k] for k in idx]
-        eye = sp.identity(2 ** self.D, format="csr")
-        for i, j in pairs:
-            ci, cj = self._c_ops[i], self._c_ops[j]
-            anti = ci @ cj.conj().T + cj.conj().T @ ci
-            dev = (anti - eye) if i == j else anti
-            if abs(dev).max() > tol:
-                raise CouplingError(f"CAR violation at modes ({i}, {j})")
-            dev_same = ci @ cj + cj @ ci
-            if dev_same.nnz and abs(dev_same).max() > tol:
-                raise CouplingError(f"same-type anticommutator violation at ({i}, {j})")
 
     # -- evolution -----------------------------------------------------------
 
@@ -613,12 +545,6 @@ def _complete_basis_first(psi: np.ndarray) -> np.ndarray:
 def _complete_basis_last(v: np.ndarray) -> np.ndarray:
     """Unitary whose last column is exactly ``v``."""
     return np.roll(_complete_basis_first(v), -1, axis=1)
-
-
-def _circulant_shift(n: int) -> sp.csr_matrix:
-    rows = np.arange(n)
-    cols = (rows + 1) % n
-    return sp.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
 
 
 def _popcount(values: np.ndarray, bits: int) -> np.ndarray:

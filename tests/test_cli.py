@@ -199,6 +199,14 @@ class TestCommands:
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
         assert read_result(tmp_path, "simulate.json")["results"]["steps"] == 40
 
+    def test_simulate_rejects_unread_option(self, tmp_path, capsys):
+        cfg = dict(BASE_CONFIG)
+        cfg["options"] = {"steps": 40, "window": [-9, 9]}
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "config.options.window: not read by simulate" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.json").exists()
+
     def test_oracle_check(self, tmp_path):
         cfg = {
             "walk": {"kind": "cycle", "n": 2,

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from fermiwalk.asymptotics import asymptotic_symbol, flux_expectations
 from fermiwalk.coupling import (CouplingError, CouplingSpec, Window,
                                 build_contraction, one_step_joint_operator)
 from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
                                    build_truncated_symbol)
-from fermiwalk.simulate import (CovarianceState, FockOracle, dense_fermion_ops,
+from fermiwalk.simulate import (CovarianceState, FockOracle,
                                 finite_time_pair_expectation, flux_finite_time,
-                                gamma_dense)
+                                gamma_dense, sparse_fermion_ops)
 from fermiwalk.walk import build_cycle_walk, cycle_star_vector, rotation_coin
 
 THETAS4 = (0.3, 0.8, 1.2, 0.5)
@@ -35,8 +36,8 @@ V2 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
 class TestCovarianceBasics:
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_block_step_matches_operator_conjugation(self, boundary):
-        # the structured fast step equals T Sigma T* with the explicit operator,
-        # followed on the open window by restoring the inflow site's rows
+        # the step equals dense T Sigma T* with the joint operator, followed on
+        # the open window by restoring the inflow site's rows
         rng = np.random.default_rng(6)
         U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
         env = EnvironmentSpec(U, [SymbolFunction((0.5, 0.1, 0.05)),
@@ -140,6 +141,12 @@ class TestCovarianceBasics:
             with pytest.raises(CouplingError, match="0..L_max"):
                 CovarianceState(window, env, W, coup)
         CovarianceState(Window(-3, 1, 1), env, W, coup, boundary="periodic")
+
+    def test_unknown_boundary_rejected(self):
+        W, psi = rotation_walk()
+        coup = CouplingSpec(0.9, np.array([1.0]), psi)
+        with pytest.raises(CouplingError, match="boundary"):
+            CovarianceState(Window(0, 2, 1), env_m1(), W, coup, boundary="Periodic")
 
 
 class TestConvergenceToDelta:
@@ -335,12 +342,27 @@ class TestFluxFiniteTime:
             assert abs(flux_finite_time(state, i) - res.phi[i]) <= 1e-6
 
 
+@pytest.mark.parametrize("D", range(1, FockOracle.MAX_MODES + 1))
+def test_fermion_ops_satisfy_car(D):
+    # {c_i, c_j*} = delta_ij and {c_i, c_j} = 0 for every mode pair the oracle can use
+    ops = sparse_fermion_ops(D)
+    adj = [c.conj().T.tocsr() for c in ops]
+    eye = sp.identity(2 ** D, format="csr")
+    for i in range(D):
+        for j in range(D):
+            anti = ops[i] @ adj[j] + adj[j] @ ops[i]
+            if i == j:
+                anti = anti - eye
+            same = ops[i] @ ops[j] + ops[j] @ ops[i]
+            assert abs(anti).max() <= 1e-12 and abs(same).max() <= 1e-12
+
+
 class TestFockOracle:
     def test_gamma_second_quantisation(self):
         rng = np.random.default_rng(4)
         V = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
         G = gamma_dense(V)
-        ops = dense_fermion_ops(4)
+        ops = [c.toarray() for c in sparse_fermion_ops(4)]
         f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         lhs = G @ sum(f[j] * ops[j].conj().T for j in range(4)) @ G.conj().T
         Vf = V @ f
@@ -429,6 +451,15 @@ class TestFockOracle:
         coup = CouplingSpec(0.9, np.array([1.0]), psi)
         with pytest.raises(CouplingError, match="refuses"):
             FockOracle(env, W, coup, Window(-3, 6, 1))  # 10 + 8 modes
+
+    def test_refuses_oversized_ensembles(self):
+        # 4 reservoir + 8 sample modes, all fractionally filled: 2^12 states
+        env = env_m1()
+        W, psi = rotation_walk()
+        coup = CouplingSpec(0.9, np.array([1.0]), psi)
+        xi = np.diag(np.linspace(0.2, 0.8, 8))
+        with pytest.raises(CouplingError, match="fractional modes"):
+            FockOracle(env, W, coup, Window(-2, 1, 1), sample_symbol=xi)
 
     def test_user_ensemble_keeps_even_states_even(self):
         # a hand-built even (non-Gaussian) mixture: odd moments stay zero
