@@ -216,19 +216,10 @@ def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpe
     L = env.max_degree
     mvals = _mean_return_amplitudes(contraction, L) if L > 0 else np.zeros(0, dtype=complex)
 
-    def coeff(i, t):
-        c = env.symbol_functions[i].coefficients
-        return c[t] if t < len(c) else 0.0
-
-    B = np.array([sum(w[j] * coeff(j, t) for j in range(env.m))
-                  for t in range(L + 1)], dtype=complex)
-    phi = np.zeros(env.m)
-    for i in range(env.m):
-        static = (2.0 - 2.0 * np.cos(alpha)) * w[i] * (B[0].real - coeff(i, 0).real)
-        series = 0.0
-        for t in range(1, L + 1):
-            series += np.real(mvals[t - 1] * np.conj(B[t] - coeff(i, t)))
-        phi[i] = static + 2.0 * np.sin(alpha) ** 2 * w[i] * series
+    c, B = _coefficient_table(env, w)
+    diff = B - c
+    phi = w * ((2.0 - 2.0 * np.cos(alpha)) * diff[:, 0].real
+               + 2.0 * np.sin(alpha) ** 2 * np.real(diff[:, 1:].conj() @ mvals))
     rates = small_alpha_flux_rate(env, w) if (with_rates and _weights_nondegenerate(w)) else None
     return FluxResult(phi, w, alpha, rates)
 
@@ -281,22 +272,19 @@ def small_alpha_flux_rate_walk(env: EnvironmentSpec, W: np.ndarray,
     w = coupling.weights(env)
     if not _weights_nondegenerate(w):
         raise CouplingError("small-coupling rates need all weights strictly in (0, 1)")
-    L = env.max_degree
-
-    def coeff(i, t):
-        c = env.symbol_functions[i].coefficients
-        return c[t] if t < len(c) else 0.0
-
-    B = np.array([sum(w[j] * coeff(j, t) for j in range(env.m))
-                  for t in range(L + 1)], dtype=complex)
-    u = np.empty(L, dtype=complex)
+    u = np.empty(env.max_degree, dtype=complex)
     vec = psi
-    for t in range(L):
+    for t in range(env.max_degree):
         vec = W @ vec
         u[t] = np.vdot(psi, vec)
-    rates = np.empty(env.m)
-    for i in range(env.m):
-        series = sum(np.real(u[t - 1] * np.conj(B[t] - coeff(i, t)))
-                     for t in range(1, L + 1))
-        rates[i] = w[i] * ((B[0].real - coeff(i, 0).real) + 2.0 * series)
-    return rates
+    c, B = _coefficient_table(env, w)
+    diff = B - c
+    return w * (diff[:, 0].real + 2.0 * np.real(diff[:, 1:].conj() @ u))
+
+
+def _coefficient_table(env: EnvironmentSpec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, B)``: ``c[i, t] = c_i(t)`` for ``t = 0..L_max`` and ``B(t) = sum_j w_j c_j(t)``."""
+    c = np.zeros((env.m, env.max_degree + 1), dtype=complex)
+    for i, F in enumerate(env.symbol_functions):
+        c[i, :len(F.coefficients)] = F.coefficients
+    return c, w @ c

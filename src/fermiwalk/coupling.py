@@ -225,11 +225,6 @@ class Window:
         out[self.env_dim:] = psi
         return out
 
-    def require_zero_interior(self):
-        if not self.a < 0 < self.b:
-            raise CouplingError(
-                f"window [{self.a}, {self.b}] must contain site 0 strictly in its interior")
-
 
 def shift_matrix(n_sites: int, periodic: bool) -> sp.csr_matrix:
     """The site shift ``delta_k -> delta_{k-1}`` on the window (wrap if periodic)."""
@@ -243,8 +238,7 @@ def shift_matrix(n_sites: int, periodic: bool) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n_sites, n_sites))
 
 
-def coupling_exponential(window: Window, env: EnvironmentSpec,
-                         coupling: CouplingSpec, d: int) -> sp.csr_matrix:
+def coupling_exponential(window: Window, coupling: CouplingSpec, d: int) -> sp.csr_matrix:
     """``exp(-i alpha (iota + iota*))`` on the joint window space.
 
     Computed in closed form on the invariant plane spanned by
@@ -278,7 +272,7 @@ def one_step_joint_operator(window: Window, env: EnvironmentSpec, W: np.ndarray,
     S_w = shift_matrix(window.n_sites, periodic=(boundary == "periodic"))
     free = sp.block_diag(
         [sp.kron(S_w, sp.csr_matrix(env.U)), sp.csr_matrix(W)], format="csr")
-    K = coupling_exponential(window, env, coupling, d)
+    K = coupling_exponential(window, coupling, d)
     return (free @ K).tocsr()
 
 

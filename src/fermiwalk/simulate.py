@@ -13,8 +13,8 @@ Three independent routes to the same expectations:
   coefficients;
 * :class:`FockOracle` evolves the exact many-body state on the full
   ``2^modes`` occupation space of a small periodic window (same-species
-  representation, Jordan-Wigner operators), for non-quadratic observables
-  such as the full particle-number distribution.
+  representation, occupation-amplitude arrays), for non-quadratic
+  observables such as the full particle-number distribution.
 """
 
 from __future__ import annotations
@@ -121,10 +121,6 @@ class CovarianceState:
     def sample_block(self) -> np.ndarray:
         ne = self.window.env_dim
         return self.sigma[ne:, ne:].copy()
-
-    def env_block(self) -> np.ndarray:
-        ne = self.window.env_dim
-        return self.sigma[:ne, :ne].copy()
 
     def pair_expectation(self, f: np.ndarray, g: np.ndarray) -> complex:
         """``<c*(f) c(g)> = <g, Sigma_t f>`` for joint-space vectors."""
@@ -260,7 +256,12 @@ def flux_finite_time(state: CovarianceState, i: int) -> float:
 
 
 def sparse_fermion_ops(n_modes: int) -> list[sp.csr_matrix]:
-    """Sparse annihilation operators on ``2^n_modes`` dimensions."""
+    """Sparse Jordan-Wigner annihilation operators on ``2^n_modes`` dimensions.
+
+    Mode 0 is the top bit of the occupation index, as in :class:`FockOracle`,
+    which works on amplitude arrays directly; these matrices are the
+    reference its kernels are tested against.
+    """
     lower = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     zmat = sp.csr_matrix(np.diag([1.0, -1.0]))
     eye = sp.identity(2, format="csr")
@@ -277,30 +278,25 @@ def sparse_fermion_ops(n_modes: int) -> list[sp.csr_matrix]:
 def gamma_dense(V: np.ndarray) -> np.ndarray:
     """Second quantisation ``Gamma(V)`` of a unitary on few modes, as a dense matrix.
 
-    ``Gamma(e^{ih}) = e^{i dGamma(h)}``; the quadratic generator conserves
-    particle number, so the exponential is taken sector by sector.
+    ``Gamma(V)`` acts on the p-particle sector as the p-th exterior power of
+    ``V``: the entry between occupation sets ``y`` and ``x`` of equal size is
+    the minor ``det V[y, x]`` (modes in ascending order), and the vacuum
+    entry is 1.  The minors are batched per particle number.
     """
     V = np.asarray(V, dtype=complex)
     n = V.shape[0]
     if n > 10:
         raise CouplingError(f"second quantisation capped at 10 modes, got {n}")
-    h = -1j * scipy.linalg.logm(V)
-    h = 0.5 * (h + h.conj().T)
-    ops = sparse_fermion_ops(n)
     dim = 2 ** n
-    dgamma = sp.csr_matrix((dim, dim), dtype=complex)
-    for j in range(n):
-        cdag_j = ops[j].conj().T.tocsr()
-        for k in range(n):
-            if abs(h[j, k]) > 1e-300:
-                dgamma = dgamma + h[j, k] * (cdag_j @ ops[k])
-    counts = _popcount(np.arange(dim), n)
+    occupation = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # mode 0 = top bit
+    counts = occupation.sum(axis=1)
     out = np.zeros((dim, dim), dtype=complex)
-    dgamma = dgamma.tocsc()
-    for p in range(n + 1):
-        idx = np.where(counts == p)[0]
-        block = dgamma[np.ix_(idx, idx)].toarray()
-        out[np.ix_(idx, idx)] = scipy.linalg.expm(1j * block)
+    out[0, 0] = 1.0
+    for p in range(1, n + 1):
+        idx = np.flatnonzero(counts == p)
+        modes = np.nonzero(occupation[idx])[1].reshape(len(idx), p)
+        minors = V[modes[:, None, :, None], modes[None, :, None, :]]
+        out[np.ix_(idx, idx)] = np.linalg.det(minors)
     return out
 
 
@@ -319,9 +315,12 @@ class FockOracle:
     rotated so ``psi*`` comes first.  The coupling then acts on two adjacent
     modes and carries no Jordan-Wigner string.
 
-    The initial state is the Gaussian density matrix of ``Sigma_w (+) Xi``,
-    represented as a weighted ensemble of eigenmode Slater states (one per
-    bitstring over the fractionally occupied modes).
+    States are ``(2^D, K)`` arrays of occupation amplitudes, mode 0 the top
+    bit of the row index; every many-body operation is a reshape, a slice or
+    a matrix product on them.  The initial state is the Gaussian density
+    matrix of ``Sigma_w (+) Xi``, represented as a weighted ensemble of
+    eigenmode Slater states (one per bitstring over the fractionally occupied
+    modes).
     """
 
     MAX_MODES = 14
@@ -333,7 +332,6 @@ class FockOracle:
         W = np.asarray(W, dtype=complex)
         d = W.shape[0]
         m = env.m
-        window.require_zero_interior()
         E = window.env_dim
         D = E + d
         if D > self.MAX_MODES:
@@ -344,29 +342,25 @@ class FockOracle:
         self.E, self.d, self.D = E, d, D
         self.t = 0
 
-        # --- one-particle basis maps (canonical coords -> oracle modes) ---
+        # --- one-particle basis map Q[canonical, oracle mode] ---
         r_int = _complete_basis_last(coupling.v)             # internal basis, v last
         site_order = [k for k in range(window.a, window.b + 1) if k != 0] + [0]
-        Q_E = np.zeros((E, E), dtype=complex)
+        Q = np.zeros((D, D), dtype=complex)
         for pos, k in enumerate(site_order):
             off_can = window.site_offset(k)
-            Q_E[off_can:off_can + m, pos * m:(pos + 1) * m] = r_int
-        Q_S = _complete_basis_first(coupling.star())
-        self.Q_E, self.Q_S = Q_E, Q_S
+            Q[off_can:off_can + m, pos * m:(pos + 1) * m] = r_int
+        Q[E:, E:] = _complete_basis_first(coupling.star())
+        self.Q = Q
 
-        S_circ_U = sp.kron(shift_matrix(window.n_sites, periodic=True),
-                           sp.csr_matrix(env.U)).toarray()
-        V_E = Q_E.conj().T @ S_circ_U @ Q_E
-        V_S = Q_S.conj().T @ W @ Q_S
-        self.G_E = gamma_dense(V_E)
-        self.G_S = gamma_dense(V_S)
+        S_circ_U = np.kron(shift_matrix(window.n_sites, periodic=True).toarray(), env.U)
+        V = Q.conj().T @ scipy.linalg.block_diag(S_circ_U, W) @ Q
+        self.G_E = gamma_dense(V[:E, :E])
+        self.G_S = gamma_dense(V[E:, E:])
         alpha = coupling.alpha
         self.k4 = np.array([[1, 0, 0, 0],
                             [0, np.cos(alpha), -1j * np.sin(alpha), 0],
                             [0, -1j * np.sin(alpha), np.cos(alpha), 0],
                             [0, 0, 0, 1]], dtype=complex)
-
-        self._c_ops = sparse_fermion_ops(D)
 
         if ensemble is not None:
             # user-supplied mixture of pure many-body states (amplitudes over
@@ -382,19 +376,13 @@ class FockOracle:
                     f"ensemble states must be ({2 ** D}, {len(self.weights)})")
             return
 
-        # --- initial Gaussian ensemble ---
-        sigma_env = build_truncated_symbol(env, (window.a, window.b))
-        sigma_env = Q_E.conj().T @ sigma_env @ Q_E
-        if sample_symbol is None:
-            sigma_s = np.zeros((d, d), dtype=complex)
-        else:
-            sigma_s = Q_S.conj().T @ np.asarray(sample_symbol, dtype=complex) @ Q_S
-        lam_e, vec_e = np.linalg.eigh(sigma_env)
-        lam_s, vec_s = np.linalg.eigh(sigma_s)
+        # --- initial Gaussian ensemble: member Gamma(eigenmodes)|config> ---
+        xi = np.zeros((d, d)) if sample_symbol is None else sample_symbol
+        sigma = Q.conj().T @ scipy.linalg.block_diag(
+            build_truncated_symbol(env, (window.a, window.b)), xi) @ Q
+        lam_e, vec_e = np.linalg.eigh(sigma[:E, :E])
+        lam_s, vec_s = np.linalg.eigh(sigma[E:, E:])
         lam = np.concatenate([lam_e, lam_s])
-        modes = np.zeros((D, D), dtype=complex)
-        modes[:E, :E] = vec_e
-        modes[E:, E:] = vec_s
         if lam.min() < -1e-10 or lam.max() > 1.0 + 1e-10:
             raise CouplingError("initial joint symbol escapes [0, 1]")
         lam = np.clip(lam, 0.0, 1.0)
@@ -404,72 +392,52 @@ class FockOracle:
             raise CouplingError(
                 f"{len(frac)} fractional modes need 2^{len(frac)} ensemble states "
                 f"( > {self.MAX_ENSEMBLE})")
-        cdag_modes = {}
-        for mode in set(filled) | set(frac):
-            op = sum(modes[mu, mode] * self._c_ops[mu].conj().T for mu in range(D)
-                     if abs(modes[mu, mode]) > 1e-15)
-            cdag_modes[mode] = op.tocsr()
-        weights = []
-        columns = []
-        for bits in range(2 ** len(frac)):
-            occupied = list(filled)
-            weight = 1.0
-            for pos, mode in enumerate(frac):
-                if (bits >> pos) & 1:
-                    occupied.append(mode)
-                    weight *= lam[mode]
-                else:
-                    weight *= 1.0 - lam[mode]
-            columns.append(self._slater(cdag_modes, sorted(occupied)))
-            weights.append(weight)
-        self.states = np.stack(columns, axis=1)
-        self.weights = np.array(weights)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _slater(self, cdag_modes: dict, occupied) -> np.ndarray:
-        vec = np.zeros(2 ** self.D, dtype=complex)
-        vec[0] = 1.0
-        for mode in occupied:
-            vec = cdag_modes[mode] @ vec
-        return vec
+        # member j occupies frac[pos] when bit pos of j is set
+        chosen = (np.arange(2 ** len(frac))[:, None] >> np.arange(len(frac))) & 1
+        self.weights = np.prod(np.where(chosen, lam[frac], 1.0 - lam[frac]), axis=1)
+        bit = 2 ** (D - 1 - np.arange(D))
+        configs = bit[filled].sum() + chosen @ bit[frac]
+        self.states = (gamma_dense(vec_e)[:, configs >> d][:, None, :]
+                       * gamma_dense(vec_s)[:, configs & (2 ** d - 1)][None, :, :]
+                       ).reshape(2 ** D, -1)
 
     # -- evolution -----------------------------------------------------------
 
     def step(self, steps: int = 1) -> "FockOracle":
-        half_e = 2 ** (self.E - 1)
-        half_s = 2 ** (self.d - 1)
-        K = self.states.shape[1]
+        """Advance ``steps`` steps: the coupling on modes ``E-1, E``, then ``G_S``, then ``G_E``."""
+        E, d, K = self.E, self.d, self.states.shape[1]
         arr = self.states
         for _ in range(steps):
-            arr = arr.reshape(half_e, 4, half_s * K)
-            arr = np.einsum("ab,xby->xay", self.k4, arr)
-            arr = arr.reshape(2 ** self.E, 2 ** self.d, K)
-            arr = np.einsum("st,etk->esk", self.G_S, arr)
-            arr = np.tensordot(self.G_E, arr, axes=(1, 0))
-            arr = arr.reshape(2 ** self.D, K)
+            arr = self.k4 @ arr.reshape(2 ** (E - 1), 4, -1)
+            arr = self.G_S @ arr.reshape(2 ** E, 2 ** d, K)
+            arr = self.G_E @ arr.reshape(2 ** E, -1)
             self.t += 1
-        self.states = arr
+        self.states = arr.reshape(2 ** self.D, K)
         return self
 
     # -- observables ----------------------------------------------------------
 
-    def _ensemble_expectation(self, values_per_state: np.ndarray) -> np.ndarray:
-        return np.tensordot(self.weights, values_per_state, axes=(0, 0))
-
     def two_point_matrix(self) -> np.ndarray:
-        """Joint covariance ``Sigma[g, f] = <c*(e_f) c(e_g)>`` in canonical coordinates."""
-        D, K = self.D, self.states.shape[1]
-        sigma_o = np.zeros((D, D), dtype=complex)
-        for x in range(K):
-            psi = self.states[:, x]
-            cpsi = np.stack([self._c_ops[mu] @ psi for mu in range(D)], axis=1)
-            gram = cpsi.conj().T @ cpsi          # gram[mu, nu] = <c_mu psi, c_nu psi>
-            sigma_o += self.weights[x] * gram.T
-        Q = np.zeros((D, D), dtype=complex)
-        Q[:self.E, :self.E] = self.Q_E
-        Q[self.E:, self.E:] = self.Q_S
-        return Q @ sigma_o @ Q.conj().T
+        """Joint covariance ``Sigma[g, f] = <c*(e_f) c(e_g)>`` in canonical coordinates.
+
+        ``<c*_mu c_nu>`` (``mu < nu``) pairs the amplitudes of occupations
+        with ``mu`` empty and ``nu`` filled against those with the two swapped,
+        signed by ``(-1)^(occupied modes strictly between mu and nu)``.
+        """
+        D = self.D
+        amp = self.states * np.sqrt(self.weights)
+        sigma_o = np.empty((D, D), dtype=complex)
+        for mu in range(D):
+            filled = amp.reshape(2 ** mu, 2, -1)[:, 1]
+            sigma_o[mu, mu] = np.vdot(filled, filled)
+            for nu in range(mu + 1, D):
+                between = nu - mu - 1
+                a = amp.reshape(2 ** mu, 2, 2 ** between, 2, -1)
+                sign = 1 - 2 * (_popcount(np.arange(2 ** between), between) & 1)
+                val = np.vdot(a[:, 1, :, 0], sign[:, None] * a[:, 0, :, 1])
+                sigma_o[nu, mu] = val
+                sigma_o[mu, nu] = np.conj(val)
+        return self.Q @ sigma_o @ self.Q.conj().T
 
     def total_number(self) -> float:
         counts = _popcount(np.arange(2 ** self.D), self.D)
@@ -494,7 +462,7 @@ class FockOracle:
         for cycle walks), so vertex occupations are diagonal in the occupation
         basis.  Returns ``(<n_nu>, <n_nu n_up>)`` for spin-1/2 vertices.
         """
-        if np.linalg.norm(self.Q_S - np.eye(self.d)) > 1e-12:
+        if np.linalg.norm(self.Q[self.E:, self.E:] - np.eye(self.d)) > 1e-12:
             raise CouplingError("vertex moments need psi* to be the first canonical mode")
         if self.d % 2 != 0:
             raise CouplingError("vertex moments need a spin-1/2 sample (even d)")
@@ -512,14 +480,20 @@ class FockOracle:
         return first, second
 
     def odd_moment(self, f: np.ndarray) -> complex:
-        """``<c*(f)>`` for a canonical joint vector ``f`` (zero for even states)."""
-        Q = np.zeros((self.D, self.D), dtype=complex)
-        Q[:self.E, :self.E] = self.Q_E
-        Q[self.E:, self.E:] = self.Q_S
-        f_o = Q.conj().T @ np.asarray(f, dtype=complex)
-        cdag = sum(f_o[mu] * self._c_ops[mu].conj().T for mu in range(self.D))
-        vals = np.einsum("ik,ik->k", self.states.conj(), cdag @ self.states)
-        return complex(self.weights @ vals)
+        """``<c*(f)>`` for a canonical joint vector ``f`` (zero for even states).
+
+        ``<c*_mu>`` pairs the amplitudes of occupations with ``mu`` filled
+        against those with ``mu`` empty, signed by ``(-1)^(occupied modes
+        before mu)``.
+        """
+        f_o = self.Q.conj().T @ np.asarray(f, dtype=complex)
+        amp = self.states * np.sqrt(self.weights)
+        total = 0.0 + 0.0j
+        for mu in range(self.D):
+            a = amp.reshape(2 ** mu, 2, -1)
+            sign = 1 - 2 * (_popcount(np.arange(2 ** mu), mu) & 1)
+            total += f_o[mu] * np.vdot(a[:, 1], sign[:, None] * a[:, 0])
+        return complex(total)
 
 
 def _complete_basis_first(psi: np.ndarray) -> np.ndarray:

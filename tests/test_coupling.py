@@ -174,23 +174,21 @@ class TestJointOperator:
             one_step_joint_operator(Window(1, 4, 1), self.env, self.W, self.coup, boundary)
 
     def test_coupling_exponential_unitary(self):
-        K = coupling_exponential(self.window, self.env, self.coup, 8).toarray()
+        K = coupling_exponential(self.window, self.coup, 8).toarray()
         assert np.linalg.norm(K.conj().T @ K - np.eye(K.shape[0])) <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_coupling_exponential_is_dense_expm(self, m):
         # exp(-i alpha (iota + iota*)) with iota = |delta_0 (x) v><psi*|
         if m == 1:
-            env, v, window = self.env, np.array([1.0]), self.window
+            v, window = np.array([1.0]), self.window
         else:
-            env = EnvironmentSpec(np.diag([1.0, np.exp(0.7j)]),
-                                  [SymbolFunction((0.5, 0.1)), SymbolFunction((0.3,))])
             v, window = np.array([np.sqrt(0.4), 1j * np.sqrt(0.6)]), Window(0, 2, 2)
         coup = CouplingSpec(self.coup.alpha, v, self.coup.psi_star)
         iota = np.outer(window.joint_env_vector(0, v, 8),
                         window.joint_sample_vector(coup.psi_star).conj())
         expected = scipy.linalg.expm(-1j * coup.alpha * (iota + iota.conj().T))
-        K = coupling_exponential(window, env, coup, 8).toarray()
+        K = coupling_exponential(window, coup, 8).toarray()
         assert np.abs(K - expected).max() <= 1e-14
 
 

@@ -357,16 +357,33 @@ def test_fermion_ops_satisfy_car(D):
             assert abs(anti).max() <= 1e-12 and abs(same).max() <= 1e-12
 
 
+def random_ensemble(dim, K, seed):
+    """Random mixture of ``K`` normalised many-body states, without definite parity."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((dim, K)) + 1j * rng.standard_normal((dim, K))
+    weights = rng.uniform(0.5, 1.0, K)
+    return weights / weights.sum(), states / np.linalg.norm(states, axis=0)
+
+
 class TestFockOracle:
-    def test_gamma_second_quantisation(self):
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", ["random", "permutation"])
+    def test_gamma_second_quantisation(self, n, kind):
+        # Gamma(V) c*(f) Gamma(V)* = c*(V f), Gamma(V)|0> = |0>, Gamma(V) unitary;
+        # the cyclic permutation has eigenvalue -1 for every even n
         rng = np.random.default_rng(4)
-        V = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        if kind == "random":
+            V = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        else:
+            V = np.roll(np.eye(n), 1, axis=0)
         G = gamma_dense(V)
-        ops = [c.toarray() for c in sparse_fermion_ops(4)]
-        f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        lhs = G @ sum(f[j] * ops[j].conj().T for j in range(4)) @ G.conj().T
+        assert G[0, 0] == 1.0
+        assert np.abs(G.conj().T @ G - np.eye(2 ** n)).max() <= 1e-13
+        ops = [c.toarray() for c in sparse_fermion_ops(n)]
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        lhs = G @ sum(f[j] * ops[j].conj().T for j in range(n)) @ G.conj().T
         Vf = V @ f
-        rhs = sum(Vf[j] * ops[j].conj().T for j in range(4))
+        rhs = sum(Vf[j] * ops[j].conj().T for j in range(n))
         assert np.abs(lhs - rhs).max() <= 1e-13
 
     def test_initial_two_point_matches_symbol(self):
@@ -398,6 +415,68 @@ class TestFockOracle:
             cov.step()
             worst = max(worst, np.abs(oracle.two_point_matrix() - cov.sigma).max())
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("m, a, b", [(1, 0, 3), (1, -3, 0), (1, 0, 1), (1, -1, 0),
+                                         (1, 0, 0), (2, 0, 2), (2, -2, 0), (2, 0, 0)])
+    def test_windows_with_site_zero_at_an_edge(self, m, a, b):
+        env, v = (env_m1(), np.array([1.0])) if m == 1 else (env_m2(), V2)
+        W, psi = rotation_walk((0.5, 1.1))
+        coup = CouplingSpec(np.pi / 4, v, psi)
+        win = Window(a, b, m)
+        oracle = FockOracle(env, W, coup, win)
+        cov = CovarianceState(win, env, W, coup, boundary="periodic")
+        worst = np.abs(oracle.two_point_matrix() - cov.sigma).max()
+        for _ in range(20):
+            oracle.step()
+            cov.step()
+            worst = max(worst, np.abs(oracle.two_point_matrix() - cov.sigma).max())
+        assert worst <= 1e-10
+
+    def test_window_needs_site_zero(self):
+        W, psi = rotation_walk((0.5, 1.1))
+        coup = CouplingSpec(0.9, np.array([1.0]), psi)
+        with pytest.raises(CouplingError, match="outside"):
+            FockOracle(env_m1(), W, coup, Window(1, 3, 1))
+
+    @pytest.mark.parametrize("m, a, b", [(1, -2, 1), (2, -1, 1), (1, 0, 3)])
+    def test_step_is_second_quantised_joint_operator(self, m, a, b):
+        # one oracle step is Gamma(Q* T Q) with T the periodic one-particle step
+        env, v = (env_m1(), np.array([1.0])) if m == 1 else (env_m2(), V2)
+        W, psi = rotation_walk((0.5, 1.1))
+        coup = CouplingSpec(0.9, v, psi)
+        win = Window(a, b, m)
+        dim = 2 ** (win.env_dim + W.shape[0])
+        oracle = FockOracle(env, W, coup, win, ensemble=random_ensemble(dim, 3, seed=11))
+        T = one_step_joint_operator(win, env, W, coup, "periodic").toarray()
+        expected = gamma_dense(oracle.Q.conj().T @ T @ oracle.Q) @ oracle.states
+        oracle.step()
+        assert np.abs(oracle.states - expected).max() <= 1e-13
+
+    def test_observables_match_jordan_wigner_reference(self):
+        # a random mixture without parity, so odd moments do not vanish
+        env = env_m1()
+        W, psi = rotation_walk((0.5, 1.1))
+        coup = CouplingSpec(0.9, np.array([1.0]), psi)
+        D = 8
+        oracle = FockOracle(env, W, coup, Window(-2, 1, 1),
+                            ensemble=random_ensemble(2 ** D, 4, seed=12))
+        ops = sparse_fermion_ops(D)
+        rng = np.random.default_rng(13)
+        f = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+        f_o = oracle.Q.conj().T @ f
+        cdag = sum(f_o[mu] * ops[mu].conj().T for mu in range(D))
+        for _ in range(4):
+            oracle.step()
+            sigma_o = np.zeros((D, D), dtype=complex)
+            odd = 0.0
+            for w, psi_k in zip(oracle.weights, oracle.states.T):
+                cpsi = np.stack([c @ psi_k for c in ops], axis=1)
+                sigma_o += w * (cpsi.conj().T @ cpsi).T       # [nu, mu] = <c*_mu c_nu>
+                odd += w * np.vdot(psi_k, cdag @ psi_k)
+            sigma = oracle.Q @ sigma_o @ oracle.Q.conj().T
+            assert np.abs(oracle.two_point_matrix() - sigma).max() <= 1e-13
+            assert abs(odd) > 1e-3
+            assert abs(oracle.odd_moment(f) - odd) <= 1e-13
 
     def test_total_number_conserved(self):
         env = env_m1()
