@@ -23,10 +23,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .coupling import CouplingError, build_contraction
-from .environment import SymbolFunction, eval_series, hermitian_part
+from .environment import SymbolFunction
 from .walk import WalkError, build_cycle_walk, cycle_star_vector
+
+# chord distance from the Cayley pole below which a computed eigenvalue
+# triggers one re-centred solve (phase errors then stay near 1e-14)
+POLE_CLEARANCE = 0.05
+# how far a custom phase may stray outside theta0 +- halfwidth by round-off
+SUPPORT_SLACK = 1e-12
 
 __all__ = [
     "DisorderModel",
@@ -48,9 +55,9 @@ class DisorderModel:
 
     ``distribution`` is ``"point"`` (all phases equal ``theta0``), ``"uniform"``
     on ``[theta0 - halfwidth, theta0 + halfwidth]``, or ``"custom"`` with an
-    ``inverse_cdf`` callable mapping uniform [0, 1) draws to phases (its
-    support must stay inside ``theta0 +- halfwidth`` for the band reports to
-    apply).
+    ``inverse_cdf`` callable mapping uniform [0, 1) draws to phases inside
+    ``theta0 +- halfwidth``.  The band reports and the eigensolver's pole
+    rely on that support, so a draw outside it raises :class:`WalkError`.
     """
 
     t: float
@@ -90,6 +97,14 @@ class DisorderModel:
         else:
             plus = np.asarray(self.inverse_cdf(rng.random(self.n)), dtype=float)
             minus = np.asarray(self.inverse_cdf(rng.random(self.n)), dtype=float)
+            lo, hi = self.support
+            for phases in (plus, minus):
+                # the comparison is written so that NaN fails it too
+                inside = (phases >= lo - SUPPORT_SLACK) & (phases <= hi + SUPPORT_SLACK)
+                if not inside.all():
+                    bad = phases[~inside][0]
+                    raise WalkError(f"custom phase {bad!r} outside the support "
+                                    f"[{lo}, {hi}] = theta0 +- halfwidth")
         return plus, minus
 
     @property
@@ -98,20 +113,33 @@ class DisorderModel:
             return (self.theta0, self.theta0)
         return (self.theta0 - self.halfwidth, self.theta0 + self.halfwidth)
 
+    @property
+    def gap_halfwidth(self) -> float:
+        """Half-width of the spectral gaps centred at ``+-e^{-i theta0}``.
 
-def disordered_coin(t: float, r: float, w_plus: float, w_minus: float) -> np.ndarray:
-    """Single random coin in the ``(e_{-1}, e_{+1})`` basis."""
-    return np.array([
-        [np.exp(-1j * w_minus) * t, np.exp(-1j * w_minus) * r],
-        [-np.exp(-1j * w_plus) * r, np.exp(-1j * w_plus) * t],
-    ])
+        The bands swept over the support (:func:`enlarged_band_intervals`)
+        leave these two gaps of half-width ``arccos|t| - (support width)/2``;
+        a value <= 0 means the bands close them.
+        """
+        lo, hi = self.support
+        return float(np.arccos(abs(self.t))) - 0.5 * (hi - lo)
+
+
+def disordered_coin(t: float, r: float, w_plus, w_minus) -> np.ndarray:
+    """Random coin in the ``(e_{-1}, e_{+1})`` basis.
+
+    Scalar phases give one ``(2, 2)`` coin; arrays of phases give the stack
+    ``(..., 2, 2)`` of one coin per entry.
+    """
+    minus = np.exp(-1j * np.asarray(w_minus))[..., None]
+    plus = np.exp(-1j * np.asarray(w_plus))[..., None]
+    return np.stack([minus * [t, r], plus * [-r, t]], axis=-2)
 
 
 def sample_disordered_walk(model: DisorderModel, sample_index: int = 0) -> np.ndarray:
     """Draw one ring walk ``W(omega)``; deterministic in ``(model.seed, sample_index)``."""
     plus, minus = model.sample_phases(sample_index)
-    coins = [disordered_coin(model.t, model.r, plus[nu], minus[nu]) for nu in range(model.n)]
-    return build_cycle_walk(model.n, coins)
+    return build_cycle_walk(model.n, disordered_coin(model.t, model.r, plus, minus))
 
 
 @dataclass
@@ -133,8 +161,50 @@ class DOSEstimate:
         return float(np.sum(fn(self.bin_centers) * self.mass))
 
 
-def _eigenphases(W: np.ndarray) -> np.ndarray:
-    return np.angle(np.linalg.eigvals(W)) % (2.0 * np.pi)
+def _cayley_phases(W: np.ndarray, pole: float) -> np.ndarray:
+    """Eigenphases in ``[0, 2 pi)`` of the unitary ``W`` by a Hermitian eigensolve.
+
+    With ``z = -e^{-i pole}``, ``H = i(1 - zW)(1 + zW)^{-1} = 2i(1 + zW)^{-1} - i``
+    is Hermitian, and an eigenvalue ``e^{i theta}`` of ``W`` maps to
+    ``h = tan((theta + arg z)/2)``, so ``theta = 2 arctan(h) - arg z``.  The
+    map is singular at ``e^{i pole}``; the phase error grows like
+    ``eps / (distance of the spectrum from the pole)``.  The transform works on
+    ``W^T`` (Fortran-ordered for a C-ordered ``W``), whose ``H^T`` has the same
+    spectrum, so that ``inv`` and ``eigvalsh`` overwrite it without a copy.
+    """
+    z = -np.exp(-1j * pole)
+    diag = np.arange(W.shape[0])
+    a = np.multiply(W.T, z, order="F")
+    a[diag, diag] += 1.0
+    a = scipy.linalg.inv(a, overwrite_a=True, check_finite=False)
+    a *= 2j
+    a[diag, diag] -= 1j
+    h = scipy.linalg.eigvalsh(a, overwrite_a=True, check_finite=False)
+    return (2.0 * np.arctan(h) - np.angle(z)) % (2.0 * np.pi)
+
+
+def _widest_gap_centre(phases: np.ndarray) -> float:
+    """Middle of the widest arc of the unit circle that holds none of ``phases``."""
+    ordered = np.sort(phases)
+    gaps = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    return float(ordered[k] + 0.5 * gaps[k])
+
+
+def _eigenphases(W: np.ndarray, model: DisorderModel) -> np.ndarray:
+    """Eigenphases in ``[0, 2 pi)`` of a walk ``W`` drawn from ``model``.
+
+    The Cayley pole sits at ``e^{-i theta0}``, the centre of a gap that every
+    draw's spectrum avoids by ``model.gap_halfwidth``.  When the computed
+    spectrum comes within ``POLE_CLEARANCE`` (chord) of the pole, as it can
+    when that gap is narrow or closed, the pole moves once to the middle of
+    the widest empty arc of the computed phases and ``W`` is solved again.
+    """
+    pole = -model.theta0
+    phases = _cayley_phases(W, pole)
+    if np.abs(np.exp(1j * phases) - np.exp(1j * pole)).min() < POLE_CLEARANCE:
+        phases = _cayley_phases(W, _widest_gap_centre(phases))
+    return phases
 
 
 def density_of_states(model: DisorderModel, samples: int, bins: int = 512,
@@ -151,7 +221,7 @@ def density_of_states(model: DisorderModel, samples: int, bins: int = 512,
     edges = np.linspace(0.0, 2.0 * np.pi, bins + 1)
 
     def one(index: int) -> np.ndarray:
-        phases = _eigenphases(sample_disordered_walk(model, index))
+        phases = _eigenphases(sample_disordered_walk(model, index), model)
         hist, _ = np.histogram(phases, bins=edges)
         return hist / (2.0 * model.n)
 
@@ -223,6 +293,28 @@ class AveragedDensityResult:
         return abs(self.trace_mean - self.dos_mean)
 
 
+def _trace_density(F: SymbolFunction, M: np.ndarray) -> float:
+    """``(2/n) Re tr F(M)`` for the ``2n x 2n`` contraction ``M`` of a ring.
+
+    ``tr F(M) = c(0) d/2 + sum_l c(l) tr(M^l)`` with ``d = 2n``; ``tr M^2`` is
+    ``sum(M * M^T)``, so matrix products start at ``l = 3``.  The series needs
+    ``||M|| <= 1``, which holds by construction and is not re-checked:
+    ``W`` is unitary and ``1 + (cos alpha - 1) P`` has singular values 1 and
+    ``|cos alpha|``.
+    """
+    c = F.coefficients
+    d = M.shape[0]
+    total = c[0] * d / 2.0
+    if len(c) > 1:
+        total += c[1] * np.trace(M)
+    power = M
+    for ell, coeff in enumerate(c[2:], start=2):
+        if ell > 2:
+            power = power @ M
+        total += coeff * np.sum(power * M.T)
+    return float(4.0 * total.real / d)
+
+
 def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
                      samples: int, threads: int | None = None) -> AveragedDensityResult:
     """Disorder-averaged asymptotic density, two ways.
@@ -242,12 +334,11 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
         contraction = build_contraction(W, psi, alpha)
         if contraction.spectral_radius >= 1.0 - 1e-12:
             return None
-        val = np.trace(2.0 * hermitian_part(eval_series(F, contraction.matrix))).real / model.n
-        return float(val)
+        return _trace_density(F, contraction.matrix)
 
     def dos_value(index: int):
         W = sample_disordered_walk(model, samples + index)
-        phases = _eigenphases(W)
+        phases = _eigenphases(W, model)
         return float(np.sum(F.circle_density(phases)) / model.n)
 
     if threads and threads > 1:

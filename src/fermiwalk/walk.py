@@ -80,6 +80,41 @@ def cycle_star_vector(n: int, nu: int = 0, tau: int = -1) -> np.ndarray:
     return psi
 
 
+def _coin_stack(coins, n: int, k: int) -> np.ndarray:
+    """The ``(n, k, k)`` stack of per-vertex coins, all checked unitary at once."""
+    coins = [np.asarray(c, dtype=complex) for c in coins]
+    if len(coins) != n:
+        raise WalkError(f"expected {n} coins, got {len(coins)}")
+    for nu, coin in enumerate(coins):
+        if coin.shape != (k, k):
+            raise WalkError(f"coin {nu} must be {k}x{k}, got shape {coin.shape}")
+    stack = np.array(coins, dtype=complex).reshape(n, k, k)
+    gram = np.einsum("nji,njk->nik", stack.conj(), stack)
+    dev = np.linalg.norm(gram - np.eye(k), axis=(1, 2))
+    bad = np.flatnonzero(dev > UNITARITY_TOL)
+    if bad.size:
+        nu = bad[0]
+        raise WalkError(f"coin {nu} is not unitary: ||C*C - 1|| = {dev[nu]:.3e}"
+                        f" > {UNITARITY_TOL:.1e}")
+    return stack
+
+
+def _hop_after_coin(rows: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """``W = W1 @ W2`` without forming either factor.
+
+    ``W2`` is block diagonal with ``coins[nu]`` on the ``k`` basis states
+    ``k*nu + a`` of vertex ``nu``, and the permutation ``W1`` sends state
+    ``k*nu + a`` to ``rows[nu, a]``.  So row ``rows[nu, a]`` of ``W`` is row
+    ``a`` of ``coins[nu]`` on columns ``k*nu .. k*nu + k - 1``, and zero
+    elsewhere.
+    """
+    n, k = rows.shape
+    W = np.zeros((n * k, n * k), dtype=complex)
+    cols = k * np.arange(n)[:, None] + np.arange(k)
+    W[rows[:, :, None], cols[:, None, :]] = coins
+    return W
+
+
 def build_cycle_walk(n: int, coins) -> np.ndarray:
     """One-step unitary of the coined walk on a cycle of ``n`` vertices.
 
@@ -100,23 +135,10 @@ def build_cycle_walk(n: int, coins) -> np.ndarray:
     """
     if n < 2:
         raise WalkError(f"cycle needs n >= 2 vertices, got {n}")
-    coins = [np.asarray(c, dtype=complex) for c in coins]
-    if len(coins) != n:
-        raise WalkError(f"expected {n} coins, got {len(coins)}")
-    for nu, coin in enumerate(coins):
-        if coin.shape != (2, 2):
-            raise WalkError(f"coin {nu} must be 2x2, got shape {coin.shape}")
-        check_unitary(coin, what=f"coin {nu}")
-
-    d = 2 * n
-    w2 = np.zeros((d, d), dtype=complex)
-    for nu, coin in enumerate(coins):
-        w2[2 * nu:2 * nu + 2, 2 * nu:2 * nu + 2] = coin
-    w1 = np.zeros((d, d), dtype=complex)
-    for nu in range(n):
-        for tau in (-1, +1):
-            w1[cycle_index(n, nu + tau, tau), cycle_index(n, nu, tau)] = 1.0
-    return w1 @ w2
+    stack = _coin_stack(coins, n, 2)
+    nu = np.arange(n)
+    rows = np.stack([2 * ((nu - 1) % n), 2 * ((nu + 1) % n) + 1], axis=1)
+    return _hop_after_coin(rows, stack)
 
 
 def build_regular_graph_walk(n: int, r: int, edge_coloring, coins) -> np.ndarray:
@@ -146,6 +168,7 @@ def build_regular_graph_walk(n: int, r: int, edge_coloring, coins) -> np.ndarray
     else:
         target = lambda nu, a: edge_coloring[(nu, a)]
 
+    rows = np.empty((n, r), dtype=int)
     for a in range(r):
         for nu in range(n):
             nup = target(nu, a)
@@ -155,24 +178,8 @@ def build_regular_graph_walk(n: int, r: int, edge_coloring, coins) -> np.ndarray
                 raise WalkError(f"colour {a} has a fixed point at vertex {nu}")
             if target(nup, a) != nu:
                 raise WalkError(f"colour {a} is not an involution at vertex {nu}")
-
-    coins = [np.asarray(c, dtype=complex) for c in coins]
-    if len(coins) != n:
-        raise WalkError(f"expected {n} coins, got {len(coins)}")
-    for nu, coin in enumerate(coins):
-        if coin.shape != (r, r):
-            raise WalkError(f"coin {nu} must be {r}x{r}, got shape {coin.shape}")
-        check_unitary(coin, what=f"coin {nu}")
-
-    d = n * r
-    w2 = np.zeros((d, d), dtype=complex)
-    for nu, coin in enumerate(coins):
-        w2[r * nu:r * nu + r, r * nu:r * nu + r] = coin
-    w1 = np.zeros((d, d), dtype=complex)
-    for nu in range(n):
-        for a in range(r):
-            w1[r * target(nu, a) + a, r * nu + a] = 1.0
-    return w1 @ w2
+            rows[nu, a] = r * nup + a
+    return _hop_after_coin(rows, _coin_stack(coins, n, r))
 
 
 def is_cyclic(W: np.ndarray, psi: np.ndarray, tol: float = 1e-10) -> tuple[bool, int]:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fermiwalk.coupling import build_contraction
 from fermiwalk.disorder import (AveragedDensityResult, DisorderModel,
+                                _eigenphases, _trace_density,
                                 averaged_density, density_of_states,
                                 disordered_coin, enlarged_band_intervals,
                                 exact_band_intervals, phases_in_bands,
                                 sample_disordered_walk)
-from fermiwalk.environment import SymbolFunction
-from fermiwalk.walk import WalkError, build_cycle_walk
+from fermiwalk.environment import SymbolFunction, eval_series, hermitian_part
+from fermiwalk.walk import WalkError, build_cycle_walk, cycle_star_vector
 
 
 T, R = 0.8, 0.6
@@ -15,6 +19,27 @@ T, R = 0.8, 0.6
 
 def eigenphases(W):
     return np.angle(np.linalg.eigvals(W)) % (2 * np.pi)
+
+
+def circle_deviation(phases, reference):
+    """Largest circle distance between two phase multisets, matched in order.
+
+    Both are sorted from the middle of the reference's widest empty arc, so a
+    phase near the 0 = 2 pi cut cannot pair with the wrong neighbour.
+    """
+    ordered = np.sort(reference % (2 * np.pi))
+    gaps = np.diff(ordered, append=ordered[0] + 2 * np.pi)
+    cut = ordered[np.argmax(gaps)] + 0.5 * gaps.max()
+    a = np.sort((phases - cut) % (2 * np.pi))
+    b = np.sort((reference - cut) % (2 * np.pi))
+    return float(np.abs(np.angle(np.exp(1j * (a - b)))).max())
+
+
+def drawn_walk(t, theta0, halfwidth, n, seed):
+    model = DisorderModel(t=t, r=np.sqrt(1 - t * t), n=n,
+                          distribution="uniform" if halfwidth > 0 else "point",
+                          theta0=theta0, halfwidth=halfwidth, seed=seed)
+    return model, sample_disordered_walk(model, 0)
 
 
 class TestModel:
@@ -49,6 +74,34 @@ class TestModel:
         assert np.allclose(a[0], b[0]) and np.allclose(a[1], b[1])
         with pytest.raises(WalkError, match="callable"):
             DisorderModel(t=T, r=R, n=8, distribution="custom")
+
+    @pytest.mark.parametrize("inverse_cdf", [
+        lambda u: 0.2 + 0.5 * u,             # upper edge crossed
+        lambda u: 0.19 + 0.4 * u,            # lower edge crossed
+        lambda u: np.where(u < 0.5, np.nan, 0.4),
+    ])
+    def test_custom_phases_outside_support_raise(self, inverse_cdf):
+        m = DisorderModel(t=T, r=R, n=64, distribution="custom", theta0=0.4,
+                          halfwidth=0.2, seed=9, inverse_cdf=inverse_cdf)
+        with pytest.raises(WalkError, match="outside the support"):
+            m.sample_phases(0)
+        with pytest.raises(WalkError, match="outside the support"):
+            sample_disordered_walk(m, 0)
+
+    def test_custom_phases_on_the_support_edges_pass(self):
+        m = DisorderModel(t=T, r=R, n=4, distribution="custom", theta0=0.4,
+                          halfwidth=0.2, seed=9,
+                          inverse_cdf=lambda u: np.where(u < 0.5, 0.4 - 0.2, 0.4 + 0.2))
+        plus, minus = m.sample_phases(0)
+        assert np.isin(plus, [0.4 - 0.2, 0.4 + 0.2]).all()
+
+    def test_coin_stack_equals_single_coins(self):
+        rng = np.random.default_rng(4)
+        plus, minus = rng.uniform(-4, 4, size=(2, 9))
+        stack = disordered_coin(T, R, plus, minus)
+        assert stack.shape == (9, 2, 2)
+        for k in range(9):
+            assert np.array_equal(stack[k], disordered_coin(T, R, plus[k], minus[k]))
 
 
 class TestSpectra:
@@ -105,6 +158,37 @@ class TestSpectra:
             assert phases_in_bands(phases, intervals, dilation=1e-8).all()
 
 
+class TestEigenphases:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(t=st.floats(0.02, 0.995) | st.floats(-0.995, -0.02),
+           theta0=st.floats(-7.0, 7.0),
+           halfwidth=st.just(0.0) | st.floats(0.01, 3.3),
+           n=st.integers(2, 32),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @example(t=0.95, theta0=0.4, halfwidth=1.5, n=32, seed=1)
+    @example(t=0.6, theta0=-2.0, halfwidth=3.0, n=31, seed=2)
+    def test_cayley_phases_match_eigvals(self, t, theta0, halfwidth, n, seed):
+        # halfwidth >= arccos|t| closes the spectral gaps, so the strategy
+        # covers gapless models, where the pole must be re-centred
+        model, W = drawn_walk(t, theta0, halfwidth, n, seed)
+        assert circle_deviation(_eigenphases(W, model), eigenphases(W)) <= 1e-12
+
+    def test_gapless_ring_of_256(self):
+        # one solve at the gap centre is off by 2e-12 on this draw: an
+        # eigenvalue sits 1e-3 from the pole until the pole is re-centred
+        model, W = drawn_walk(0.6, 0.4, 3.0, 256, 7)
+        assert model.gap_halfwidth < 0
+        assert circle_deviation(_eigenphases(W, model), eigenphases(W)) <= 1e-12
+
+    def test_gap_contains_the_pole(self):
+        m = DisorderModel(t=T, r=R, n=64, distribution="uniform",
+                          theta0=0.7, halfwidth=0.05, seed=1)
+        assert m.gap_halfwidth == pytest.approx(np.arccos(T) - 0.05)
+        phases = _eigenphases(sample_disordered_walk(m, 0), m)
+        dist = np.abs(np.angle(np.exp(1j * (phases + m.theta0))))
+        assert dist.min() >= m.gap_halfwidth
+
+
 class TestDensityOfStates:
     def test_normalisation_and_errors(self):
         m = DisorderModel(t=T, r=R, n=32, distribution="uniform",
@@ -145,6 +229,19 @@ class TestDensityOfStates:
 
 
 class TestAveragedDensity:
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("coefficients", [
+        (0.4,), (0.5, 0.2 - 0.1j), (0.5, 0.0, 0.125),
+        (0.5, 0.1 + 0.05j, 0.125, 0.02, -0.01j, 0.003),
+    ])
+    def test_trace_density_equals_series(self, n, coefficients):
+        m = DisorderModel(t=T, r=R, n=n, distribution="uniform",
+                          theta0=0.7, halfwidth=0.05, seed=1)
+        M = build_contraction(sample_disordered_walk(m, 3), cycle_star_vector(n), 0.3).matrix
+        F = SymbolFunction(coefficients)
+        ref = np.trace(2.0 * hermitian_part(eval_series(F, M))).real / n
+        assert _trace_density(F, M) == pytest.approx(ref, abs=1e-14)
+
     def test_constant_symbol_fixes_normalisation(self):
         # symbol c0 on every mode: vertex average is exactly 2 c0 = 2 (2 F(0))
         m = DisorderModel(t=T, r=R, n=32, distribution="uniform",

@@ -148,3 +148,52 @@ def test_walk_spec_roundtrip():
 
     with pytest.raises(WalkError, match="star_vector"):
         WalkSpec(kind="raw", matrix=np.eye(2)).build()
+
+
+def _dense_product(n, k, coins, row_of):
+    # W = W1 @ W2 written out: W2 block diagonal in the coins, W1 sending the
+    # basis state k*nu + a to row_of(nu, a)
+    w2 = np.zeros((n * k, n * k), dtype=complex)
+    w1 = np.zeros((n * k, n * k), dtype=complex)
+    for nu, coin in enumerate(coins):
+        w2[k * nu:k * nu + k, k * nu:k * nu + k] = coin
+        for a in range(k):
+            w1[row_of(nu, a), k * nu + a] = 1.0
+    return w1 @ w2
+
+
+def _random_coloring(n, r, rng):
+    # r random perfect matchings, one per colour
+    target = {}
+    for a in range(r):
+        perm = rng.permutation(n)
+        for x, y in zip(perm[0::2], perm[1::2]):
+            target[(int(x), a)], target[(int(y), a)] = int(y), int(x)
+    return target
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64])
+def test_cycle_walk_equals_dense_product(n):
+    rng = np.random.default_rng(100 + n)
+    coins = [random_coin(2, rng) for _ in range(n)]
+    ref = _dense_product(n, 2, coins, lambda nu, a: cycle_index(n, nu + 2 * a - 1, 2 * a - 1))
+    assert np.array_equal(build_cycle_walk(n, coins), ref)
+
+
+@pytest.mark.parametrize("n,r", [(2, 3), (4, 2), (6, 3), (64, 3)])
+def test_regular_graph_walk_equals_dense_product(n, r):
+    rng = np.random.default_rng(200 + n)
+    coloring = _random_coloring(n, r, rng)
+    coins = [random_coin(r, rng) for _ in range(n)]
+    ref = _dense_product(n, r, coins, lambda nu, a: r * coloring[(nu, a)] + a)
+    assert np.array_equal(build_regular_graph_walk(n, r, coloring, coins), ref)
+
+
+def test_regular_graph_non_unitary_coin_names_the_culprit():
+    coins = [np.eye(3)] * 4
+    coins[3] = np.diag([1.0, 1.0, 1.1])
+    with pytest.raises(WalkError, match="coin 3 is not unitary"):
+        build_regular_graph_walk(4, 3, k4_coloring(), coins)
+    coins[3] = np.eye(2)
+    with pytest.raises(WalkError, match="coin 3 must be 3x3"):
+        build_regular_graph_walk(4, 3, k4_coloring(), coins)
