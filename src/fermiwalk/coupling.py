@@ -143,14 +143,17 @@ class ContractionM:
 
 
 def build_contraction(W: np.ndarray, psi_star: np.ndarray, alpha: float) -> ContractionM:
-    """Assemble ``M = W (1 + (cos alpha - 1) P)`` with ``P`` projecting on ``psi*``."""
+    """Assemble ``M = W (1 + (cos alpha - 1) P)`` with ``P`` projecting on ``psi*``.
+
+    ``P`` has rank one, so ``M = W + (cos alpha - 1) (W psi*) psi*^H``: one
+    matrix-vector product and one outer product, O(d^2).
+    """
     W = np.asarray(W, dtype=complex)
     psi_star = np.asarray(psi_star, dtype=complex).reshape(-1)
     check_unitary(W, what="walk unitary")
     if abs(np.linalg.norm(psi_star) - 1.0) > 1e-10:
         raise CouplingError("psi* must be a unit vector")
-    P = np.outer(psi_star, psi_star.conj())
-    M = W @ (np.eye(W.shape[0]) + (np.cos(alpha) - 1.0) * P)
+    M = W + np.outer((np.cos(alpha) - 1.0) * (W @ psi_star), psi_star.conj())
     return ContractionM(M, W, psi_star, float(alpha))
 
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiwalk.asymptotics import (PoissonBinomial,
                                    asymptotic_symbol, flux_expectations,
@@ -10,7 +12,7 @@ from fermiwalk.asymptotics import (PoissonBinomial,
                                    ring_profile_closed_form,
                                    small_alpha_flux_rate,
                                    small_alpha_flux_rate_walk)
-from fermiwalk.coupling import CouplingError, CouplingSpec
+from fermiwalk.coupling import CouplingError, CouplingSpec, build_contraction
 from fermiwalk.environment import EnvironmentSpec, SymbolFunction, eval_series, hermitian_part
 from fermiwalk.walk import build_cycle_walk, cycle_star_vector, random_coin, rotation_coin
 
@@ -31,6 +33,32 @@ def env_m2(c1=(0.5, 0.1, 0.05), c2=(0.3,), phase=0.7):
 
 V2 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
 THETAS4 = (0.3, 0.8, 1.2, 0.5)
+
+
+def admissible_symbol(rng, degree, fill):
+    """``c(0)`` in [0, 1] with ``2 sum_l |c(l)| = fill min(c0, 1 - c0)``, so ``0 <= 2 Re F <= 1``."""
+    c0 = rng.uniform(0.0, 1.0)
+    mags = 0.5 * fill * min(c0, 1.0 - c0) * rng.dirichlet(np.ones(degree)) if degree else ()
+    return SymbolFunction((c0, *(r * np.exp(2j * np.pi * rng.uniform()) for r in mags)))
+
+
+@st.composite
+def random_instances(draw):
+    """Haar ``W``, ``psi*``, ``U`` and ``v`` with admissible symbols: ``(env, W, coupling)``."""
+    d, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    fill = draw(st.just(1.0) | st.floats(0.0, 1.0))
+    alpha = draw(st.floats(0.05, np.pi - 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    W, psi = random_coin(d, rng), random_coin(d, rng)[:, 0]
+    env = EnvironmentSpec(random_coin(m, rng),
+                          [admissible_symbol(rng, degree, fill) for _ in range(m)])
+    return env, W, CouplingSpec(alpha, random_coin(m, rng)[:, 0], psi)
+
+
+def roundoff(d, spr):
+    """Round-off allowance for closed-form quantities, scaled by the conditioning ``1/(1 - spr)``."""
+    return 64 * d * np.finfo(float).eps / (1.0 - spr)
 
 
 class TestAsymptoticSymbol:
@@ -79,6 +107,25 @@ class TestAsymptoticSymbol:
         coup = CouplingSpec(0.9, np.array([1.0]), np.array([1.0, 0.0]))
         with pytest.raises(CouplingError, match="spr"):
             asymptotic_symbol(env, np.eye(2), coup)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(random_instances())
+    def test_delta_spectrum_in_unit_interval(self, instance):
+        env, W, coup = instance
+        state = asymptotic_symbol(env, W, coup)
+        tol = roundoff(W.shape[0], state.contraction.spectral_radius)
+        assert state.eigenvalues.min() >= -tol
+        assert state.eigenvalues.max() <= 1.0 + tol
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(random_instances())
+    def test_fluxes_balance(self, instance):
+        env, W, coup = instance
+        res = flux_expectations(env, W, coup, with_rates=False)
+        spr = build_contraction(W, coup.star(), coup.alpha).spectral_radius
+        assert abs(res.total) <= roundoff(W.shape[0], spr)
 
 
 class TestPoissonBinomial:

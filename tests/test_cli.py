@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -269,6 +270,48 @@ class TestCommands:
         with open(out_csv) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["node", "density"]
+
+
+def assert_replaced(path, rerun):
+    """``rerun()`` writes ``path`` anew: a reader of the old file keeps its bytes."""
+    old_bytes = path.read_bytes()
+    with open(path, "rb") as old:
+        assert rerun() == 0
+        assert os.fstat(old.fileno()).st_nlink == 0
+        assert old.read() == old_bytes
+
+
+class TestRerunReplacesFiles:
+    def test_simulate_into_same_out(self, tmp_path):
+        out = str(tmp_path)
+        path = write_config(tmp_path, dict(BASE_CONFIG, options={"steps": 50}))
+        assert main(["simulate", "--config", path, "--out", out]) == 0
+        path = write_config(tmp_path, dict(BASE_CONFIG, options={"steps": 5}))
+        trace = tmp_path / "simulate_trace.csv"
+        assert_replaced(trace, lambda: main(["simulate", "--config", path, "--out", out]))
+        assert len(trace.read_text().splitlines()) == 6
+        assert read_result(tmp_path, "simulate.json")["results"]["steps"] == 5
+
+    def test_emit_onto_existing_csv(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["asymptotic", "--config", path, "--out", str(tmp_path)]) == 0
+        out_csv = tmp_path / "replot.csv"
+        out_csv.write_text("stale\n" * 100)
+        assert_replaced(out_csv, lambda: main([
+            "emit", "--result", str(tmp_path / "asymptotic.json"),
+            "--kind", "profile", "--out", str(out_csv)]))
+        assert out_csv.read_text().splitlines()[0] == "node,density"
+        assert len(out_csv.read_text().splitlines()) == 5
+
+    def test_symlink_is_replaced_not_followed(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("kept\n")
+        link = tmp_path / "m.csv"
+        link.symlink_to(target)
+        matrix_to_csv(np.eye(2), str(link))
+        assert not link.is_symlink()
+        assert target.read_text() == "kept\n"
+        assert len(link.read_text().splitlines()) == 2
 
 
 def test_matrix_csv_roundtrip(tmp_path):

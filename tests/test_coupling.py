@@ -51,6 +51,17 @@ class TestContraction:
             assert np.linalg.norm(lhs - rhs) <= 1e-13
 
 
+    @pytest.mark.parametrize("d", [1, 5, 32])
+    def test_rank_one_update_equals_dense_product(self, d):
+        rng = np.random.default_rng(d)
+        W, psi = random_coin(d, rng), random_coin(d, rng)[:, 0]
+        P = np.outer(psi, psi.conj())
+        for alpha in (0.3, 1.0, 2.5, np.pi):
+            M = build_contraction(W, psi, alpha).matrix
+            dense = W @ (np.eye(d) + (np.cos(alpha) - 1.0) * P)
+            assert np.abs(M - dense).max() <= 8 * d * np.finfo(float).eps
+
+
 class TestSpectralRadius:
     def test_unitary_alphas(self):
         W, psi = rotation_walk()
