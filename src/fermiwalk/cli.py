@@ -6,7 +6,6 @@ Commands: validate, asymptotic, flux, profile, simulate, oracle_check,
 disorder_dos, averaged_density, plus ``emit`` to cut plot-ready CSV out of a
 result file.  Results are written as canonical JSON carrying the config hash
 and a provenance block; matrices export as CSV with quoted ``re,im`` cells.
-Each output replaces any file at its path with a new one (see ``_create``).
 
 Exit codes: 0 success, 2 configuration or validation failure, 3 numerical
 domain error (non-contractive coupling and the like).
@@ -17,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -44,18 +44,20 @@ EXIT_DOMAIN = 3
 
 
 def _create(path: str):
-    """Open ``path`` for writing as a new file, unlinking whatever is there.
+    """Open ``path`` for writing, replacing a regular file there with a new one.
 
     Every result file is written through here.  Truncating an existing file
     in place makes ext4 wait for the writeback its previous close started
     (``auto_da_alloc``; 40-60 ms per file on a 2-vCPU VM), and a rename over
-    it waits the same way; a new inode does not wait.  A symlink at ``path``
-    is replaced, not followed, and a reader holding the old file keeps its
-    bytes.
+    it waits the same way; a new inode does not wait.  Only a regular file is
+    unlinked, so a reader holding it keeps its bytes.  A symlink, FIFO or
+    device (``/dev/stdout``, ``/dev/null``) is opened and written through, and
+    so is a file whose directory refuses the unlink.
     """
     try:
-        os.unlink(path)
-    except FileNotFoundError:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except (FileNotFoundError, PermissionError):
         pass
     return open(path, "w", newline="")
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -303,15 +304,38 @@ class TestRerunReplacesFiles:
         assert out_csv.read_text().splitlines()[0] == "node,density"
         assert len(out_csv.read_text().splitlines()) == 5
 
-    def test_symlink_is_replaced_not_followed(self, tmp_path):
+    def test_symlink_is_followed(self, tmp_path):
         target = tmp_path / "target.csv"
-        target.write_text("kept\n")
+        target.write_text("stale\n" * 10)
         link = tmp_path / "m.csv"
         link.symlink_to(target)
         matrix_to_csv(np.eye(2), str(link))
-        assert not link.is_symlink()
-        assert target.read_text() == "kept\n"
-        assert len(link.read_text().splitlines()) == 2
+        assert link.is_symlink()
+        assert len(target.read_text().splitlines()) == 2
+
+    def test_emit_onto_fifo(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["asymptotic", "--config", path, "--out", str(tmp_path)]) == 0
+        fifo = tmp_path / "plot.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["emit", "--result", str(tmp_path / "asymptotic.json"),
+                         "--kind", "profile", "--out", str(fifo)]) == 0
+            data = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert data.splitlines()[0] == "node,density"
+        assert len(data.splitlines()) == 5
+
+    def test_emit_onto_devnull(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["asymptotic", "--config", path, "--out", str(tmp_path)]) == 0
+        mode = os.lstat(os.devnull).st_mode
+        assert main(["emit", "--result", str(tmp_path / "asymptotic.json"),
+                     "--kind", "profile", "--out", os.devnull]) == 0
+        assert os.lstat(os.devnull).st_mode == mode
 
 
 def test_matrix_csv_roundtrip(tmp_path):
