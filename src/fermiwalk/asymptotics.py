@@ -198,7 +198,8 @@ def _mean_return_amplitudes(contraction: ContractionM, horizon: int) -> np.ndarr
 
 
 def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpec,
-                      with_rates: bool = True) -> FluxResult:
+                      with_rates: bool = True,
+                      contraction: ContractionM | None = None) -> FluxResult:
     """Closed-form limiting expectation of the flux into each reservoir sector.
 
     phi_i = (2 - 2 cos a) w_i (B(0) - c_i(0))
@@ -206,10 +207,12 @@ def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpe
 
     where ``B(t') = sum_j w_j c_j(t')`` and ``m(t') = <psi*, M^{t'-1} W psi*>``.
     The sum is finite (coefficients have finite support), so no truncation
-    error enters.
+    error enters.  ``contraction`` is ``M`` for ``(W, coupling)`` if the
+    caller has built it already (``AsymptoticState.contraction``).
     """
     coupling.require_coupled()
-    contraction = build_contraction(W, coupling.star(), coupling.alpha)
+    if contraction is None:
+        contraction = build_contraction(W, coupling.star(), coupling.alpha)
     contraction.require_contractive()
     w = coupling.weights(env)
     alpha = coupling.alpha

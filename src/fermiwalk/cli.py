@@ -152,7 +152,7 @@ def _asymptotic_results(cfg):
     coup = cfg.coupling()
     state = asymptotic_symbol(cfg.environment, W, coup)
     pb = particle_number_distribution(state)
-    flux = flux_expectations(cfg.environment, W, coup)
+    flux = flux_expectations(cfg.environment, W, coup, contraction=state.contraction)
     results = {
         "alpha": coup.alpha,
         "spectral_radius": state.contraction.spectral_radius,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .coupling import (CouplingError, CouplingSpec, Window, build_contraction,
                        one_step_joint_operator, shift_matrix)
@@ -34,7 +33,7 @@ __all__ = [
     "finite_time_pair_expectation",
     "flux_finite_time",
     "FockOracle",
-    "sparse_fermion_ops",
+    "gamma_blocks",
     "gamma_dense",
 ]
 
@@ -252,52 +251,53 @@ def flux_finite_time(state: CovarianceState, i: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Jordan-Wigner machinery
+# Second quantisation
 
 
-def sparse_fermion_ops(n_modes: int) -> list[sp.csr_matrix]:
-    """Sparse Jordan-Wigner annihilation operators on ``2^n_modes`` dimensions.
+def gamma_blocks(V: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Second quantisation ``Gamma(V)`` of a unitary on few modes, one particle number at a time.
 
-    Mode 0 is the top bit of the occupation index, as in :class:`FockOracle`,
-    which works on amplitude arrays directly; these matrices are the
-    reference its kernels are tested against.
-    """
-    lower = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    zmat = sp.csr_matrix(np.diag([1.0, -1.0]))
-    eye = sp.identity(2, format="csr")
-    ops = []
-    for k in range(n_modes):
-        op = None
-        for j in range(n_modes):
-            factor = zmat if j < k else (lower if j == k else eye)
-            op = factor if op is None else sp.kron(op, factor, format="csr")
-        ops.append(op.astype(complex))
-    return ops
-
-
-def gamma_dense(V: np.ndarray) -> np.ndarray:
-    """Second quantisation ``Gamma(V)`` of a unitary on few modes, as a dense matrix.
-
-    ``Gamma(V)`` acts on the p-particle sector as the p-th exterior power of
-    ``V``: the entry between occupation sets ``y`` and ``x`` of equal size is
-    the minor ``det V[y, x]`` (modes in ascending order), and the vacuum
-    entry is 1.  The minors are batched per particle number.
+    ``Gamma(V)`` conserves the particle number and acts on the p-particle
+    sector as the p-th exterior power of ``V``: the entry between occupation
+    sets ``y`` and ``x`` of equal size is the minor ``det V[y, x]`` (modes in
+    ascending order), and the vacuum entry is 1.  Returns ``(configs, block)``
+    for ``p = 0..n``: the ascending occupation indices with ``p`` bits set
+    (mode 0 the top bit) and ``Gamma(V)`` restricted to them.  The minors are
+    batched per particle number.
     """
     V = np.asarray(V, dtype=complex)
     n = V.shape[0]
     if n > 10:
         raise CouplingError(f"second quantisation capped at 10 modes, got {n}")
-    dim = 2 ** n
-    occupation = (np.arange(dim)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # mode 0 = top bit
+    occupation = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     counts = occupation.sum(axis=1)
-    out = np.zeros((dim, dim), dtype=complex)
-    out[0, 0] = 1.0
+    blocks = [(np.array([0]), np.ones((1, 1), dtype=complex))]
     for p in range(1, n + 1):
         idx = np.flatnonzero(counts == p)
         modes = np.nonzero(occupation[idx])[1].reshape(len(idx), p)
         minors = V[modes[:, None, :, None], modes[None, :, None, :]]
-        out[np.ix_(idx, idx)] = np.linalg.det(minors)
+        blocks.append((idx, np.linalg.det(minors)))
+    return blocks
+
+
+def gamma_dense(V: np.ndarray) -> np.ndarray:
+    """``Gamma(V)`` as a dense ``2^n x 2^n`` matrix, assembled from :func:`gamma_blocks`."""
+    blocks = gamma_blocks(V)
+    dim = 2 ** (len(blocks) - 1)
+    out = np.zeros((dim, dim), dtype=complex)
+    for configs, block in blocks:
+        out[np.ix_(configs, configs)] = block
     return out
+
+
+def _apply_blocks(blocks: list, src: np.ndarray, dst: np.ndarray):
+    """``dst = Gamma @ src`` along axis 0, one matrix product per particle-number block.
+
+    The blocks partition the rows, so every row of ``dst`` is written.
+    """
+    for configs, block in blocks:
+        rows = src[configs]
+        dst[configs] = (block @ rows.reshape(len(configs), -1)).reshape(rows.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +354,8 @@ class FockOracle:
 
         S_circ_U = np.kron(shift_matrix(window.n_sites, periodic=True).toarray(), env.U)
         V = Q.conj().T @ scipy.linalg.block_diag(S_circ_U, W) @ Q
-        self.G_E = gamma_dense(V[:E, :E])
-        self.G_S = gamma_dense(V[E:, E:])
+        self.G_E = gamma_blocks(V[:E, :E])
+        self.G_S = gamma_blocks(V[E:, E:])
         alpha = coupling.alpha
         self.k4 = np.array([[1, 0, 0, 0],
                             [0, np.cos(alpha), -1j * np.sin(alpha), 0],
@@ -374,9 +374,17 @@ class FockOracle:
             if self.states.shape != (2 ** D, len(self.weights)):
                 raise CouplingError(
                     f"ensemble states must be ({2 ** D}, {len(self.weights)})")
-            return
+        else:
+            self.weights, self.states = self._gaussian_ensemble(sample_symbol)
+        # the two arrays every step writes in turn (never the caller's
+        # ensemble), and the Jordan-Wigner signs (-1)^popcount(j), j < 2^(D-1)
+        self._buffers = tuple(np.empty((2 ** D, len(self.weights)), dtype=complex)
+                              for _ in range(2))
+        self._string_sign = 1 - 2 * (_popcount(np.arange(2 ** (D - 1)), D - 1) & 1)
 
-        # --- initial Gaussian ensemble: member Gamma(eigenmodes)|config> ---
+    def _gaussian_ensemble(self, sample_symbol) -> tuple[np.ndarray, np.ndarray]:
+        """Weights and states of the members ``Gamma(eigenmodes)|config>``."""
+        env, window, Q, E, d, D = self.env, self.window, self.Q, self.E, self.d, self.D
         xi = np.zeros((d, d)) if sample_symbol is None else sample_symbol
         sigma = Q.conj().T @ scipy.linalg.block_diag(
             build_truncated_symbol(env, (window.a, window.b)), xi) @ Q
@@ -394,25 +402,32 @@ class FockOracle:
                 f"( > {self.MAX_ENSEMBLE})")
         # member j occupies frac[pos] when bit pos of j is set
         chosen = (np.arange(2 ** len(frac))[:, None] >> np.arange(len(frac))) & 1
-        self.weights = np.prod(np.where(chosen, lam[frac], 1.0 - lam[frac]), axis=1)
+        weights = np.prod(np.where(chosen, lam[frac], 1.0 - lam[frac]), axis=1)
         bit = 2 ** (D - 1 - np.arange(D))
         configs = bit[filled].sum() + chosen @ bit[frac]
-        self.states = (gamma_dense(vec_e)[:, configs >> d][:, None, :]
-                       * gamma_dense(vec_s)[:, configs & (2 ** d - 1)][None, :, :]
-                       ).reshape(2 ** D, -1)
+        states = (gamma_dense(vec_e)[:, configs >> d][:, None, :]
+                  * gamma_dense(vec_s)[:, configs & (2 ** d - 1)][None, :, :]
+                  ).reshape(2 ** D, -1)
+        return weights, states
 
     # -- evolution -----------------------------------------------------------
 
     def step(self, steps: int = 1) -> "FockOracle":
-        """Advance ``steps`` steps: the coupling on modes ``E-1, E``, then ``G_S``, then ``G_E``."""
-        E, d, K = self.E, self.d, self.states.shape[1]
-        arr = self.states
+        """Advance ``steps`` steps: the coupling on modes ``E-1, E``, then ``G_S``, then ``G_E``.
+
+        The factors alternate between two owned buffers, so the next step
+        overwrites the array ``states`` holds now (copy it to keep it).
+        """
+        E, d = self.E, self.d
         for _ in range(steps):
-            arr = self.k4 @ arr.reshape(2 ** (E - 1), 4, -1)
-            arr = self.G_S @ arr.reshape(2 ** E, 2 ** d, K)
-            arr = self.G_E @ arr.reshape(2 ** E, -1)
+            out, mid = self._buffers[::-1] if self.states is self._buffers[0] else self._buffers
+            np.matmul(self.k4, self.states.reshape(2 ** (E - 1), 4, -1),
+                      out=out.reshape(2 ** (E - 1), 4, -1))
+            _apply_blocks(self.G_S, out.reshape(2 ** E, 2 ** d, -1).transpose(1, 0, 2),
+                          mid.reshape(2 ** E, 2 ** d, -1).transpose(1, 0, 2))
+            _apply_blocks(self.G_E, mid.reshape(2 ** E, -1), out.reshape(2 ** E, -1))
+            self.states = out
             self.t += 1
-        self.states = arr.reshape(2 ** self.D, K)
         return self
 
     # -- observables ----------------------------------------------------------
@@ -422,19 +437,21 @@ class FockOracle:
 
         ``<c*_mu c_nu>`` (``mu < nu``) pairs the amplitudes of occupations
         with ``mu`` empty and ``nu`` filled against those with the two swapped,
-        signed by ``(-1)^(occupied modes strictly between mu and nu)``.
+        signed by ``(-1)^(occupied modes strictly between mu and nu)``.  Each
+        pair is one batched conjugating dot product (``np.vecdot``) over the
+        modes after ``nu`` and the ensemble, on strided views that copy
+        nothing; the diagonal is the occupation density.
         """
         D = self.D
         amp = self.states * np.sqrt(self.weights)
+        density = np.vecdot(amp, amp).real
         sigma_o = np.empty((D, D), dtype=complex)
         for mu in range(D):
-            filled = amp.reshape(2 ** mu, 2, -1)[:, 1]
-            sigma_o[mu, mu] = np.vdot(filled, filled)
+            sigma_o[mu, mu] = density.reshape(2 ** mu, 2, -1)[:, 1].sum()
             for nu in range(mu + 1, D):
-                between = nu - mu - 1
-                a = amp.reshape(2 ** mu, 2, 2 ** between, 2, -1)
-                sign = 1 - 2 * (_popcount(np.arange(2 ** between), between) & 1)
-                val = np.vdot(a[:, 1, :, 0], sign[:, None] * a[:, 0, :, 1])
+                a = amp.reshape(2 ** mu, 2, 2 ** (nu - mu - 1), 2, -1)
+                dots = np.vecdot(a[:, 1, :, 0], a[:, 0, :, 1])
+                val = (dots @ self._string_sign[:2 ** (nu - mu - 1)]).sum()
                 sigma_o[nu, mu] = val
                 sigma_o[mu, nu] = np.conj(val)
         return self.Q @ sigma_o @ self.Q.conj().T
@@ -491,8 +508,7 @@ class FockOracle:
         total = 0.0 + 0.0j
         for mu in range(self.D):
             a = amp.reshape(2 ** mu, 2, -1)
-            sign = 1 - 2 * (_popcount(np.arange(2 ** mu), mu) & 1)
-            total += f_o[mu] * np.vdot(a[:, 1], sign[:, None] * a[:, 0])
+            total += f_o[mu] * (np.vecdot(a[:, 1], a[:, 0]) @ self._string_sign[:2 ** mu])
         return complex(total)
 
 

@@ -135,6 +135,27 @@ class TestCommands:
         assert rows[0] == ["node", "density"]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("command", ["asymptotic", "profile"])
+    def test_contraction_built_once(self, tmp_path, monkeypatch, command):
+        # Delta and the fluxes share one M, so one dense eigensolve for spr
+        import fermiwalk.asymptotics as asymptotics
+        import fermiwalk.coupling as coupling
+        calls = {"build": 0, "spr": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(asymptotics, "build_contraction",
+                            counted("build", asymptotics.build_contraction))
+        monkeypatch.setattr(coupling, "spectral_radius",
+                            counted("spr", coupling.spectral_radius))
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert calls == {"build": 1, "spr": 1}
+
     def test_non_contractive_exits_3(self, tmp_path):
         cfg = dict(BASE_CONFIG)
         cfg["walk"] = {"kind": "cycle", "n": 4, "coins": {"kind": "hadamard"}}

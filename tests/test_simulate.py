@@ -3,15 +3,15 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from fermiwalk.asymptotics import asymptotic_symbol, flux_expectations
-from fermiwalk.coupling import (CouplingError, CouplingSpec, Window,
-                                build_contraction, one_step_joint_operator)
+from fermiwalk.asymptotics import PoissonBinomial, asymptotic_symbol, flux_expectations
+from fermiwalk.coupling import (CouplingError, CouplingSpec, Window, build_contraction,
+                                one_step_joint_operator, shift_matrix)
 from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
                                    build_truncated_symbol)
 from fermiwalk.simulate import (CovarianceState, FockOracle,
                                 finite_time_pair_expectation, flux_finite_time,
-                                gamma_dense, sparse_fermion_ops)
-from fermiwalk.walk import build_cycle_walk, cycle_star_vector, rotation_coin
+                                gamma_dense)
+from fermiwalk.walk import build_cycle_walk, cycle_star_vector, random_coin, rotation_coin
 
 THETAS4 = (0.3, 0.8, 1.2, 0.5)
 
@@ -342,6 +342,26 @@ class TestFluxFiniteTime:
             assert abs(flux_finite_time(state, i) - res.phi[i]) <= 1e-6
 
 
+def sparse_fermion_ops(n_modes: int) -> list[sp.csr_matrix]:
+    """Sparse Jordan-Wigner annihilation operators on ``2^n_modes`` dimensions.
+
+    Mode 0 is the top bit of the occupation index, as in :class:`FockOracle`,
+    which works on amplitude arrays directly; these matrices are the
+    reference its kernels are tested against.
+    """
+    lower = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    zmat = sp.csr_matrix(np.diag([1.0, -1.0]))
+    eye = sp.identity(2, format="csr")
+    ops = []
+    for k in range(n_modes):
+        op = None
+        for j in range(n_modes):
+            factor = zmat if j < k else (lower if j == k else eye)
+            op = factor if op is None else sp.kron(op, factor, format="csr")
+        ops.append(op.astype(complex))
+    return ops
+
+
 @pytest.mark.parametrize("D", range(1, FockOracle.MAX_MODES + 1))
 def test_fermion_ops_satisfy_car(D):
     # {c_i, c_j*} = delta_ij and {c_i, c_j} = 0 for every mode pair the oracle can use
@@ -451,6 +471,49 @@ class TestFockOracle:
         expected = gamma_dense(oracle.Q.conj().T @ T @ oracle.Q) @ oracle.states
         oracle.step()
         assert np.abs(oracle.states - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("m, a, b", [(1, -2, 1), (2, -1, 1)])
+    def test_step_equals_dense_factors(self, m, a, b):
+        # the blocked step against the dense kernel (k4, then Gamma(V_S), then
+        # Gamma(V_E) as full matrices) on 12 and 14 modes, with every particle
+        # number filled; the caller's ensemble array is never written
+        env, v = (env_m1(), np.array([1.0])) if m == 1 else (env_m2(), V2)
+        W, psi = rotation_walk()
+        win = Window(a, b, m)
+        E, d = win.env_dim, W.shape[0]
+        weights, states = random_ensemble(2 ** (E + d), 3, seed=14)
+        kept = states.copy()
+        oracle = FockOracle(env, W, CouplingSpec(0.9, v, psi), win, ensemble=(weights, states))
+        Q = oracle.Q
+        S_circ_U = np.kron(shift_matrix(win.n_sites, periodic=True).toarray(), env.U)
+        G_E = gamma_dense(Q[:E, :E].conj().T @ S_circ_U @ Q[:E, :E])
+        G_S = gamma_dense(Q[E:, E:].conj().T @ W @ Q[E:, E:])
+        expected = states
+        for _ in range(3):
+            expected = oracle.k4 @ expected.reshape(2 ** (E - 1), 4, -1)
+            expected = G_S @ expected.reshape(2 ** E, 2 ** d, -1)
+            expected = (G_E @ expected.reshape(2 ** E, -1)).reshape(2 ** (E + d), -1)
+            oracle.step()
+            assert np.abs(oracle.states - expected).max() <= 1e-13
+        assert np.array_equal(states, kept)
+
+    def test_sample_number_law_is_poisson_binomial_at_every_step(self):
+        # full counting statistics of a Gaussian state: at every t the law of
+        # the sample number is the Poisson binomial of the eigenvalues of
+        # Sigma_S(t), here on 6 reservoir + 6 sample modes and a generic walk
+        rng = np.random.default_rng(15)
+        n = 3
+        W = build_cycle_walk(n, [random_coin(2, rng) for _ in range(n)])
+        coup = CouplingSpec(0.9, V2, cycle_star_vector(n))
+        win = Window(-1, 1, 2)
+        oracle = FockOracle(env_m2(), W, coup, win)
+        cov = CovarianceState(win, env_m2(), W, coup, boundary="periodic")
+        tol = 4 * oracle.D * np.finfo(float).eps
+        for _ in range(30):
+            oracle.step()
+            cov.step()
+            law = PoissonBinomial.from_parameters(np.linalg.eigvalsh(cov.sample_block()))
+            assert np.abs(oracle.sample_number_distribution() - law.pmf).max() <= tol
 
     def test_observables_match_jordan_wigner_reference(self):
         # a random mixture without parity, so odd moments do not vanish
