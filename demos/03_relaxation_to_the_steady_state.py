@@ -25,9 +25,9 @@ state = asymptotic_symbol(env, W, coup)
 print("spr(M) =", state.contraction.spectral_radius)
 print("Delta eigenvalues:", np.round(state.eigenvalues, 6))
 
-steps = state.contraction.truncation_horizon(1e-8)
-print(f"\npropagating the covariance for {steps} steps ...")
 cov = CovarianceState(Window(0, env.max_degree, env.m), env, W, coup)
+steps = cov.relaxation_horizon(1e-8)
+print(f"\npropagating the covariance for {steps} steps (certified error <= 1e-8) ...")
 checkpoints = sorted(set([1, 5, 20, 60, steps // 2, steps]))
 last = 0
 for t in checkpoints:

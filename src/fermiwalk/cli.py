@@ -120,7 +120,7 @@ def _cmd_validate(cfg, outdir, seed, threads):
         if cfg.options.get("export_matrices"):
             matrix_to_csv(W, os.path.join(outdir, "walk_matrix.csv"))
     if cfg.environment is not None:
-        rep = validate_symbol(cfg.environment, int(cfg.options.get("grid_size", 4096)))
+        rep = validate_symbol(cfg.environment)
         report["environment"] = {
             "passed": rep.passed,
             "minima": list(rep.minima),
@@ -222,12 +222,12 @@ def _cmd_simulate(cfg, outdir, seed, threads):
     W, _ = cfg.walk.build()
     coup = cfg.coupling()
     state = asymptotic_symbol(cfg.environment, W, coup)
+    window = Window(0, cfg.environment.max_degree, cfg.environment.m)
+    cov = CovarianceState(window, cfg.environment, W, coup)
     if "steps" in cfg.options:
         steps = int(cfg.options["steps"])
     else:
-        steps = min(state.contraction.truncation_horizon(1e-9), 2000)
-    window = Window(0, cfg.environment.max_degree, cfg.environment.m)
-    cov = CovarianceState(window, cfg.environment, W, coup)
+        steps = cov.relaxation_horizon(1e-9)
     trace_rows = []
     for t in range(1, steps + 1):
         cov.step(1)

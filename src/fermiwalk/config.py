@@ -32,7 +32,7 @@ __all__ = [
 
 # the options each command reads; the runner rejects any other
 COMMAND_OPTIONS = {
-    "validate": frozenset({"krylov_tol", "grid_size", "export_matrices"}),
+    "validate": frozenset({"krylov_tol", "export_matrices"}),
     "asymptotic": frozenset({"export_matrices"}),
     "flux": frozenset(),
     "profile": frozenset(),

@@ -10,7 +10,8 @@ one-particle sample map after one step is the contraction
 
 whose spectral radius drops below 1 exactly when ``psi*`` is cyclic for ``W``
 and ``alpha`` is not a multiple of pi.  All asymptotic series downstream are
-truncated through the certified bound ``||M^t|| <= C q^t``.
+truncated through the bound ``||M^t|| <= C q^t`` that one discrete Stein
+(Lyapunov) solve proves (:func:`decay_certificate`).
 
 The joint one-particle space used by the simulators is a site window of the
 reservoir followed by the sample; see :class:`Window` for the layout.
@@ -19,8 +20,10 @@ reservoir followed by the sample; see :class:`Window` for the layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .environment import EnvironmentSpec
@@ -34,11 +37,17 @@ __all__ = [
     "build_contraction",
     "spectral_radius",
     "decay_certificate",
+    "horizon",
     "one_step_joint_operator",
     "moller_sample_block",
 ]
 
 SIN_ALPHA_MIN = 1e-8
+# spr(M) below this is contractive: the one gate of the asymptotic formulas,
+# the decay certificate and the disorder skip rule
+SPR_MAX = 1.0 - 1e-12
+# largest step count a certified horizon may ask for
+MAX_HORIZON = 200_000
 
 
 class CouplingError(ValueError):
@@ -91,9 +100,8 @@ class CouplingSpec:
 class ContractionM:
     """``M = W (1 + (cos alpha - 1) P)`` plus its decay certificate.
 
-    The certificate ``(t0, C, q)`` guarantees ``||M^t|| <= C q^t`` for all
-    ``t``; it is fitted on first use (the fit scans matrix powers up to
-    ``4 d``) and cached, immutable afterwards.
+    The certificate ``(C, q)`` proves ``||M^t|| <= C q^t`` for every ``t``
+    (see :func:`decay_certificate`); it is solved on first use and cached.
     """
 
     matrix: np.ndarray
@@ -101,42 +109,32 @@ class ContractionM:
     psi_star: np.ndarray
     alpha: float
     spectral_radius: float = field(init=False)
-    _certificate: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.spectral_radius = spectral_radius(self.matrix)
 
-    def _fit(self) -> tuple:
-        if self._certificate is None:
-            self._certificate = decay_certificate(self.matrix, self.spectral_radius)
-        return self._certificate
-
     @property
-    def decay_C(self) -> float:
-        return self._fit()[0]
+    def contractive(self) -> bool:
+        return self.spectral_radius < SPR_MAX
 
-    @property
-    def decay_q(self) -> float:
-        return self._fit()[1]
-
-    @property
-    def decay_t0(self) -> int:
-        return self._fit()[2]
+    @cached_property
+    def certificate(self) -> tuple[float, float]:
+        return decay_certificate(self.matrix, self.spectral_radius)
 
     def power_norm_bound(self, t: int) -> float:
-        return self.decay_C * self.decay_q ** t
+        C, q = self.certificate
+        return C * q ** t
 
-    def truncation_horizon(self, tol: float = 1e-12, cap: int = 200_000) -> int:
-        """Smallest ``T`` with ``C q^T <= tol``."""
-        if self.spectral_radius >= 1.0 - 1e-9:
-            raise CouplingError(
-                f"spr(M) = {self.spectral_radius:.6f} is too close to 1: series truncation "
-                "impossible (is psi* cyclic and alpha not a multiple of pi?)")
-        T = int(np.ceil((np.log(tol) - np.log(self.decay_C)) / np.log(self.decay_q)))
-        return max(1, min(T, cap))
+    def truncation_horizon(self, tol: float = 1e-12) -> int:
+        """First ``T`` with ``C q^T / (1 - q) <= tol``.
+
+        That bounds ``||M^T||`` and also the tail ``sum_{t >= T} ||M^t||``.
+        """
+        C, q = self.certificate
+        return horizon(C / (1.0 - q), q, tol)
 
     def require_contractive(self):
-        if self.spectral_radius >= 1.0 - 1e-12:
+        if not self.contractive:
             raise CouplingError(
                 f"spr(M) = {self.spectral_radius:.12f} is not < 1; asymptotic "
                 "formulas need a cyclic psi* and alpha not a multiple of pi")
@@ -162,25 +160,44 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=complex)))))
 
 
-def decay_certificate(M: np.ndarray, spr: float | None = None,
-                      margin: float = 1e-6) -> tuple[float, float, int]:
-    """Fit ``(C, q, t0)`` with ``||M^t|| <= C q^t`` for all t, ``q = spr(M) + margin``.
+def decay_certificate(M: np.ndarray, spr: float | None = None) -> tuple[float, float]:
+    """``(C, q)`` with ``||M^t|| <= C q^t`` for every ``t``, from one Stein solve.
 
-    ``C`` is the maximum of ``||M^t|| / q^t`` over ``t <= t0 = 4 d``; beyond
-    ``t0`` the geometric envelope dominates because ``q`` exceeds the spectral
-    radius.
+    With ``B = M / q0`` and ``q0 = spr + (1 - spr) / 32``, solve the discrete
+    Lyapunov equation ``X = B* X B + 1``.  For the ``X`` actually computed let
+    ``r = lambda_min(X - B* X B)``; then ``B* X B <= (1 - r / lambda_max(X)) X``,
+    so ``||B^t x||_X`` contracts by ``sqrt(1 - r / lambda_max(X))`` per step
+    and ``C = sqrt(lambda_max(X) / lambda_min(X))``,
+    ``q = q0 sqrt(1 - r / lambda_max(X))``.  Raises :class:`CouplingError`
+    when ``spr`` fails the contraction gate or ``X`` or ``r`` is not positive.
     """
     M = np.asarray(M, dtype=complex)
     if spr is None:
         spr = spectral_radius(M)
-    q = spr + margin
-    t0 = 4 * M.shape[0]
-    C = 1.0
-    power = np.eye(M.shape[0], dtype=complex)
-    for t in range(1, t0 + 1):
-        power = power @ M
-        C = max(C, np.linalg.norm(power, 2) / q ** t)
-    return float(C), float(q), t0
+    if spr >= SPR_MAX:
+        raise CouplingError(f"spr = {spr:.12f} is not < 1: no decay certificate")
+    q = spr + (1.0 - spr) / 32.0
+    B = M / q
+    X = scipy.linalg.solve_discrete_lyapunov(B.conj().T, np.eye(M.shape[0]))
+    X = 0.5 * (X + X.conj().T)
+    R = X - B.conj().T @ X @ B
+    lam = np.linalg.eigvalsh(X)
+    r = np.linalg.eigvalsh(0.5 * (R + R.conj().T))[0]
+    if lam[0] <= 0.0 or r <= 0.0:
+        raise CouplingError(
+            f"Stein solve at spr = {spr:.12f} gives no positive certificate "
+            f"(lambda_min(X) = {lam[0]:.3e}, r = {r:.3e})")
+    return float(np.sqrt(lam[-1] / lam[0])), float(q * np.sqrt(1.0 - r / lam[-1]))
+
+
+def horizon(C: float, q: float, tol: float) -> int:
+    """First ``T >= 1`` with ``C q^T <= tol``; refuses ``T > MAX_HORIZON``."""
+    T = max(1, int(np.ceil(np.log(tol / C) / np.log(q))))
+    if T > MAX_HORIZON:
+        raise CouplingError(
+            f"certified horizon {T} for tolerance {tol:g} exceeds the cap of "
+            f"{MAX_HORIZON} steps (q = {q:.15f} is too close to 1)")
+    return T
 
 
 @dataclass(frozen=True)
@@ -289,7 +306,7 @@ def moller_sample_block(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingS
 
         A = i sin(alpha) sum_{t'=0}^{T} (S (x) U)^{t'+1} iota W* (M*)^{t'},
 
-    truncated where the decay certificate puts the tail below ``tail_tol``.
+    truncated where the decay certificate puts the tail sum below ``tail_tol``.
     The block identity ``A* Sigma_w A = Delta`` holds for every initial sample
     symbol, since the sample block of the Moller column vanishes.
     """

@@ -332,7 +332,7 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
     def trace_value(index: int):
         W = sample_disordered_walk(model, index)
         contraction = build_contraction(W, psi, alpha)
-        if contraction.spectral_radius >= 1.0 - 1e-12:
+        if not contraction.contractive:
             return None
         return _trace_density(F, contraction.matrix)
 

@@ -207,47 +207,52 @@ class EnvironmentSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the circle-density admissibility scan."""
+    """Outcome of the circle-density admissibility check."""
 
     passed: bool
     minima: tuple
     maxima: tuple
     worst_phi: tuple
-    grid_size: int
     slack: float = 1e-12
 
     def __str__(self):
         lines = [f"symbol validation: {'PASS' if self.passed else 'FAIL'} "
-                 f"(grid {self.grid_size}, slack {self.slack:g})"]
+                 f"(slack {self.slack:g})"]
         for i, (lo, hi, phi) in enumerate(zip(self.minima, self.maxima, self.worst_phi)):
             lines.append(f"  sector {i}: min g = {lo:.6g}, max g = {hi:.6g}, worst phi = {phi:.6g}")
         return "\n".join(lines)
 
 
-def validate_symbol(spec: EnvironmentSpec, grid_size: int = 4096) -> ValidationReport:
-    """Scan ``g_i = 2 Re F_i`` on a uniform circle grid and check ``0 <= g_i <= 1``.
+def validate_symbol(spec: EnvironmentSpec) -> ValidationReport:
+    """Check ``0 <= g_i = 2 Re F_i <= 1`` on the whole circle.
 
+    ``g_i(phi) = c_i(0) + sum_l (c_i(l) z^l + conj(c_i(l)) z^-l)`` at
+    ``z = e^{i phi}`` is a trigonometric polynomial of degree ``L``, so its
+    extrema sit at unit-circle roots of the degree-``2L`` polynomial
+    ``z^L g_i'(z)``.  ``g_i`` is evaluated at the angles of all its roots
+    (and at ``phi = 0``), which gives the exact extrema up to round-off.
     Reports per-sector extrema; passes iff every sector stays inside
     ``[0, 1]`` within a ``1e-12`` slack.  Violations are reported (with the
-    worst grid angle), not raised.
+    worst angle), not raised.
     """
-    if grid_size < 64:
-        raise ReservoirError(f"grid_size must be >= 64, got {grid_size}")
-    phi = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     minima, maxima, worst = [], [], []
     passed = True
     for f in spec.symbol_functions:
+        c = np.asarray(f.coefficients)
+        L = f.degree
+        ell = np.arange(1, L + 1)
+        dg = np.zeros(2 * L + 1, dtype=complex)       # z^L g'(z) / i, by ascending power
+        dg[L + ell] = ell * c[1:]
+        dg[L - ell] = -ell * np.conj(c[1:])
+        phi = np.append(np.angle(np.roots(dg[::-1])), 0.0)
         g = f.circle_density(phi)
         lo, hi = float(g.min()), float(g.max())
         minima.append(lo)
         maxima.append(hi)
-        dev_low = 0.0 - g
-        dev_high = g - 1.0
-        dev = np.maximum(dev_low, dev_high)
-        worst.append(float(phi[int(np.argmax(dev))]))
+        worst.append(float(phi[int(np.argmax(np.maximum(-g, g - 1.0)))]))
         if lo < -1e-12 or hi > 1.0 + 1e-12:
             passed = False
-    return ValidationReport(passed, tuple(minima), tuple(maxima), tuple(worst), grid_size)
+    return ValidationReport(passed, tuple(minima), tuple(maxima), tuple(worst))
 
 
 def eval_series(F: SymbolFunction, B: np.ndarray) -> np.ndarray:
@@ -310,12 +315,15 @@ def build_truncated_symbol(spec: EnvironmentSpec, window: tuple[int, int]) -> np
     m = spec.m
     sites = np.arange(n_sites)
     out = np.zeros((n_sites * m, n_sites * m), dtype=complex)
-    for i in range(m):
-        toep = np.zeros((n_sites, n_sites), dtype=complex)
-        for ell in range(-spec.max_degree, spec.max_degree + 1):
+    # each m x m block on site offset ell is written in place, so no
+    # temporary of out's size is formed (Moller windows reach 10^3 sites)
+    blocks = out.reshape(n_sites, m, n_sites, m)
+    for ell in range(-spec.max_degree, spec.max_degree + 1):
+        block = np.zeros((m, m), dtype=complex)
+        for i in range(m):
             val = spec.lattice_coefficient(i, ell)
             if val != 0.0:
-                rows = sites[max(0, ell):n_sites + min(0, ell)]
-                toep[rows, rows - ell] = val
-        out += np.kron(toep, spec.projector(i))
+                block += val * spec.projector(i)
+        rows = sites[max(0, ell):n_sites + min(0, ell)]
+        blocks[rows, :, rows - ell, :] = block
     return out

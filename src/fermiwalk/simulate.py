@@ -25,7 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import (CouplingError, CouplingSpec, Window, build_contraction,
-                       one_step_joint_operator, shift_matrix)
+                       decay_certificate, horizon, one_step_joint_operator,
+                       shift_matrix)
 from .environment import EnvironmentSpec, build_truncated_symbol
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "flux_finite_time",
     "FockOracle",
     "gamma_blocks",
+    "gamma_columns",
     "gamma_dense",
 ]
 
@@ -57,6 +59,13 @@ class CovarianceState:
     back (the shift is one-way), so ``Window(0, L_max, m)`` already holds
     all the state the sample needs; an open window must hold sites
     ``0..L_max``.
+
+    The open step is therefore exactly ``Sigma -> A Sigma A* + J``, with
+    ``A = T`` with its inflow rows zeroed and ``J`` the inflow rows and columns of
+    ``Sigma_0``.  Its fixed point ``X`` has sample block ``Delta``, and
+    ``Sigma_t - X = A^t (Sigma_0 - X) A^t*`` with ``0 <= Sigma_0, X <= 1``,
+    so ``||Sigma_S(t) - Delta|| <= ||A^t||^2`` (see
+    :meth:`relaxation_horizon`).
 
     ``boundary="periodic"`` wraps the window into a finite ring, the model
     that :class:`FockOracle` is compared against.
@@ -120,6 +129,21 @@ class CovarianceState:
     def sample_block(self) -> np.ndarray:
         ne = self.window.env_dim
         return self.sigma[ne:, ne:].copy()
+
+    def relaxation_horizon(self, tol: float = 1e-9) -> int:
+        """First ``t`` with ``C_A^2 q_A^(2t) <= tol``; ``(C_A, q_A)`` certifies the open step ``A``.
+
+        For every sample symbol ``0 <= Xi <= 1`` the sample block is then
+        within ``tol`` of ``Delta`` after ``t`` steps (proof in the class
+        docstring).
+        """
+        if self.boundary != "open":
+            raise CouplingError("the relaxation horizon needs the open boundary")
+        ne, m = self.window.env_dim, self.env.m
+        A = self._T.toarray()
+        A[ne - m:ne] = 0.0
+        C, q = decay_certificate(A)
+        return horizon(C ** 2, q ** 2, tol)
 
     def pair_expectation(self, f: np.ndarray, g: np.ndarray) -> complex:
         """``<c*(f) c(g)> = <g, Sigma_t f>`` for joint-space vectors."""
@@ -254,6 +278,20 @@ def flux_finite_time(state: CovarianceState, i: int) -> float:
 # Second quantisation
 
 
+def _occupations(n: int) -> np.ndarray:
+    """Occupation bits of the ``2^n`` configurations of ``n`` modes, mode 0 the top bit."""
+    if n > 10:
+        raise CouplingError(f"second quantisation capped at 10 modes, got {n}")
+    return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def _minors(V: np.ndarray, rows: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+    """``det V[y, x]`` for the p-particle occupations ``y`` in ``rows`` and ``x`` in ``cols``."""
+    ys = np.nonzero(rows)[1].reshape(len(rows), p)
+    xs = np.nonzero(cols)[1].reshape(len(cols), p)
+    return np.linalg.det(V[ys[:, None, :, None], xs[None, :, None, :]])
+
+
 def gamma_blocks(V: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Second quantisation ``Gamma(V)`` of a unitary on few modes, one particle number at a time.
 
@@ -266,28 +304,30 @@ def gamma_blocks(V: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     batched per particle number.
     """
     V = np.asarray(V, dtype=complex)
-    n = V.shape[0]
-    if n > 10:
-        raise CouplingError(f"second quantisation capped at 10 modes, got {n}")
-    occupation = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    occupation = _occupations(V.shape[0])
     counts = occupation.sum(axis=1)
-    blocks = [(np.array([0]), np.ones((1, 1), dtype=complex))]
-    for p in range(1, n + 1):
+    blocks = []
+    for p in range(V.shape[0] + 1):
         idx = np.flatnonzero(counts == p)
-        modes = np.nonzero(occupation[idx])[1].reshape(len(idx), p)
-        minors = V[modes[:, None, :, None], modes[None, :, None, :]]
-        blocks.append((idx, np.linalg.det(minors)))
+        blocks.append((idx, _minors(V, occupation[idx], occupation[idx], p)))
     return blocks
 
 
-def gamma_dense(V: np.ndarray) -> np.ndarray:
-    """``Gamma(V)`` as a dense ``2^n x 2^n`` matrix, assembled from :func:`gamma_blocks`."""
-    blocks = gamma_blocks(V)
-    dim = 2 ** (len(blocks) - 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    for configs, block in blocks:
-        out[np.ix_(configs, configs)] = block
+def gamma_columns(V: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The columns ``columns`` (occupation indices) of ``Gamma(V)``, forming only their minors."""
+    V = np.asarray(V, dtype=complex)
+    occupation = _occupations(V.shape[0])
+    counts = occupation.sum(axis=1)
+    out = np.zeros((len(counts), len(columns)), dtype=complex)
+    for p in np.unique(counts[columns]):
+        rows, sel = np.flatnonzero(counts == p), np.flatnonzero(counts[columns] == p)
+        out[np.ix_(rows, sel)] = _minors(V, occupation[rows], occupation[columns[sel]], p)
     return out
+
+
+def gamma_dense(V: np.ndarray) -> np.ndarray:
+    """``Gamma(V)`` as a dense ``2^n x 2^n`` matrix: every column of :func:`gamma_columns`."""
+    return gamma_columns(V, np.arange(2 ** np.shape(V)[0]))
 
 
 def _apply_blocks(blocks: list, src: np.ndarray, dst: np.ndarray):
@@ -375,15 +415,24 @@ class FockOracle:
                 raise CouplingError(
                     f"ensemble states must be ({2 ** D}, {len(self.weights)})")
         else:
-            self.weights, self.states = self._gaussian_ensemble(sample_symbol)
+            self.weights, env_columns, sample_columns = self._gaussian_ensemble(sample_symbol)
         # the two arrays every step writes in turn (never the caller's
         # ensemble), and the Jordan-Wigner signs (-1)^popcount(j), j < 2^(D-1)
-        self._buffers = tuple(np.empty((2 ** D, len(self.weights)), dtype=complex)
-                              for _ in range(2))
+        K = len(self.weights)
+        self._buffers = tuple(np.empty((2 ** D, K), dtype=complex) for _ in range(2))
+        if ensemble is None:
+            # member j is Gamma(vec_e)|e_j> (x) Gamma(vec_s)|s_j>, built in place
+            self.states = self._buffers[0]
+            np.multiply(env_columns[:, None, :], sample_columns[None, :, :],
+                        out=self.states.reshape(2 ** E, 2 ** d, K))
         self._string_sign = 1 - 2 * (_popcount(np.arange(2 ** (D - 1)), D - 1) & 1)
 
-    def _gaussian_ensemble(self, sample_symbol) -> tuple[np.ndarray, np.ndarray]:
-        """Weights and states of the members ``Gamma(eigenmodes)|config>``."""
+    def _gaussian_ensemble(self, sample_symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights of the members ``Gamma(eigenmodes)|config>``, and their two factors.
+
+        Member ``j`` is ``Gamma(vec_e)|e_j> (x) Gamma(vec_s)|s_j>``; the two
+        returned arrays hold those columns, ``(2^E, K)`` and ``(2^d, K)``.
+        """
         env, window, Q, E, d, D = self.env, self.window, self.Q, self.E, self.d, self.D
         xi = np.zeros((d, d)) if sample_symbol is None else sample_symbol
         sigma = Q.conj().T @ scipy.linalg.block_diag(
@@ -405,10 +454,8 @@ class FockOracle:
         weights = np.prod(np.where(chosen, lam[frac], 1.0 - lam[frac]), axis=1)
         bit = 2 ** (D - 1 - np.arange(D))
         configs = bit[filled].sum() + chosen @ bit[frac]
-        states = (gamma_dense(vec_e)[:, configs >> d][:, None, :]
-                  * gamma_dense(vec_s)[:, configs & (2 ** d - 1)][None, :, :]
-                  ).reshape(2 ** D, -1)
-        return weights, states
+        return (weights, gamma_columns(vec_e, configs >> d),
+                gamma_columns(vec_s, configs & (2 ** d - 1)))
 
     # -- evolution -----------------------------------------------------------
 

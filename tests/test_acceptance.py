@@ -143,9 +143,8 @@ def test_criterion_3_exponential_convergence():
     coup = coupling_instance(1, 1.0, psi)
     state = asymptotic_symbol(env, W, coup)
     spr = state.contraction.spectral_radius
-    horizon = state.contraction.truncation_horizon(1e-7)
     cov = CovarianceState(Window(0, env.max_degree, 1), env, W, coup)
-    cov.step(horizon - 50)
+    cov.step(cov.relaxation_horizon(1e-7) - 50)
     errors = []
     for _ in range(50):
         cov.step(1)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,10 @@ from fermiwalk.asymptotics import (PoissonBinomial,
                                    ring_profile_closed_form,
                                    small_alpha_flux_rate,
                                    small_alpha_flux_rate_walk)
-from fermiwalk.coupling import CouplingError, CouplingSpec, build_contraction
+from fermiwalk.coupling import (CouplingError, CouplingSpec, Window, build_contraction,
+                                decay_certificate, one_step_joint_operator)
 from fermiwalk.environment import EnvironmentSpec, SymbolFunction, eval_series, hermitian_part
+from fermiwalk.simulate import CovarianceState
 from fermiwalk.walk import build_cycle_walk, cycle_star_vector, random_coin, rotation_coin
 
 
@@ -59,6 +62,32 @@ def random_instances(draw):
 def roundoff(d, spr):
     """Round-off allowance for closed-form quantities, scaled by the conditioning ``1/(1 - spr)``."""
     return 64 * d * np.finfo(float).eps / (1.0 - spr)
+
+
+def open_affine_step(env, W, coup):
+    """``(cov, A, J)``: the open covariance engine and its step ``Sigma -> A Sigma A* + J``.
+
+    Built from the definition: ``A`` is the joint step ``T`` with the rows of
+    the inflow site zeroed, ``J`` the inflow rows and columns of ``Sigma_0``.
+    """
+    window = Window(0, env.max_degree, env.m)
+    cov = CovarianceState(window, env, W, coup)
+    inflow = slice(window.env_dim - env.m, window.env_dim)
+    A = one_step_joint_operator(window, env, W, coup).toarray()
+    A[inflow] = 0.0
+    J = np.zeros_like(cov.sigma)
+    J[inflow] = cov.sigma[inflow]
+    J[:, inflow] = cov.sigma[:, inflow]
+    return cov, A, J
+
+
+def stein_roundoff(N, C):
+    """Round-off allowance for the fixed point and the states of ``Sigma -> A Sigma A* + J``.
+
+    ``A`` is ``N x N`` with ``||A^t|| <= C q^t``, so a perturbation made at one
+    step grows by at most ``C^2`` afterwards.
+    """
+    return 8 * N * np.finfo(float).eps * C ** 2
 
 
 class TestAsymptoticSymbol:
@@ -126,6 +155,30 @@ class TestProperties:
         res = flux_expectations(env, W, coup, with_rates=False)
         spr = build_contraction(W, coup.star(), coup.alpha).spectral_radius
         assert abs(res.total) <= roundoff(W.shape[0], spr)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(random_instances())
+    def test_stein_fixed_point_is_delta(self, instance):
+        env, W, coup = instance
+        delta = asymptotic_symbol(env, W, coup).delta
+        cov, A, J = open_affine_step(env, W, coup)
+        X = scipy.linalg.solve_discrete_lyapunov(A, J)
+        C, _ = decay_certificate(A)
+        ne = cov.window.env_dim
+        assert np.linalg.norm(X[ne:, ne:] - delta, 2) <= stein_roundoff(len(A), C)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(random_instances())
+    def test_relaxation_bound(self, instance):
+        # ||Sigma_S(t) - Delta|| <= C_A^2 q_A^(2t) from the empty sample, for 200 steps
+        env, W, coup = instance
+        delta = asymptotic_symbol(env, W, coup).delta
+        cov, A, _ = open_affine_step(env, W, coup)
+        C, q = decay_certificate(A)
+        tol = stein_roundoff(len(A), C)
+        for t in range(1, 201):
+            cov.step()
+            assert np.linalg.norm(cov.sample_block() - delta, 2) <= C ** 2 * q ** (2 * t) + tol
 
 
 class TestPoissonBinomial:

@@ -9,7 +9,8 @@ import pytest
 from fermiwalk.cli import main, matrix_to_csv
 from fermiwalk.config import (ConfigError, canonical_json, config_hash,
                               load_config, parse_config)
-from fermiwalk.coupling import ContractionM
+from fermiwalk.coupling import MAX_HORIZON
+from fermiwalk.simulate import CovarianceState
 
 BASE_CONFIG = {
     "walk": {"kind": "cycle", "n": 4,
@@ -113,6 +114,11 @@ class TestCommands:
         assert report["results"]["environment"]["violations"]
         assert "0 <= 2 Re" in report["results"]["environment"]["bound"]
 
+    def test_validate_rejects_grid_size(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(BASE_CONFIG, options={"grid_size": 4096}))
+        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "config.options.grid_size: unknown field" in capsys.readouterr().err
+
     def test_unknown_field_exits_2(self, tmp_path):
         bad = dict(BASE_CONFIG)
         bad["walk"] = dict(BASE_CONFIG["walk"], oops=True)
@@ -210,12 +216,26 @@ class TestCommands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "log_error"]
 
+    def test_simulate_default_steps_reach_delta(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        res = read_result(tmp_path, "simulate.json")["results"]
+        assert res["final_error_to_delta"] <= 1e-9
+
+    def test_simulate_refuses_horizon_beyond_cap(self, tmp_path, capsys):
+        # alpha = 1e-5 leaves 1 - spr(M) ~ 5e-12: no silent truncated run
+        cfg = dict(BASE_CONFIG, coupling={"alpha": 1e-5})
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 3
+        assert f"cap of {MAX_HORIZON} steps" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.json").exists()
+
     def test_simulate_configured_steps_skip_horizon(self, tmp_path, monkeypatch):
         # the certified horizon is computed only when no step count is given
         def refuse(self, *args, **kwargs):
-            raise AssertionError("truncation_horizon called")
+            raise AssertionError("relaxation_horizon called")
 
-        monkeypatch.setattr(ContractionM, "truncation_horizon", refuse)
+        monkeypatch.setattr(CovarianceState, "relaxation_horizon", refuse)
         cfg = dict(BASE_CONFIG)
         cfg["options"] = {"steps": 40}
         path = write_config(tmp_path, cfg)

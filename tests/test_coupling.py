@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fermiwalk.coupling import (CouplingError, CouplingSpec, Window,
+from fermiwalk.coupling import (MAX_HORIZON, CouplingError, CouplingSpec, Window,
                                 build_contraction, coupling_exponential,
-                                moller_sample_block, one_step_joint_operator,
-                                spectral_radius)
+                                decay_certificate, moller_sample_block,
+                                one_step_joint_operator, spectral_radius)
 from fermiwalk.environment import EnvironmentSpec, SymbolFunction
 from fermiwalk.walk import (build_cycle_walk, cycle_star_vector, is_cyclic,
                             random_coin, rotation_coin)
@@ -107,24 +107,53 @@ class TestSpectralRadius:
         assert spr1 == pytest.approx(spr2, abs=1e-10)
 
 
+def near_defective_contractions():
+    """n = 4 rotation coins ``base + k 1.66e-3``, alpha = 0.112: nearly defective, spr ~ 0.99922."""
+    for base in np.linspace(0.3, 1.3, 11):
+        W, psi = rotation_walk(thetas=[base + k * 1.66e-3 for k in range(4)])
+        yield build_contraction(W, psi, 0.112)
+
+
 class TestDecayCertificate:
-    def test_bound_holds_beyond_fit_range(self):
+    def test_bound_holds_on_near_defective_instances(self):
+        # ||M^t|| peaks near t = 5,000 here, far beyond any short power scan
+        t = np.arange(1, 8001)
+        for c in near_defective_contractions():
+            powers = np.empty((len(t), 8, 8), dtype=complex)
+            power = np.eye(8, dtype=complex)
+            for k in range(len(t)):
+                power = power @ c.matrix
+                powers[k] = power
+            norms = np.linalg.norm(powers, 2, axis=(1, 2))
+            assert (norms <= c.power_norm_bound(t) * (1 + 1e-12)).all()
+
+    def test_certificate_computes_spr_when_not_given(self):
         W, psi = rotation_walk()
         c = build_contraction(W, psi, 1.0)
-        power = np.eye(8, dtype=complex)
-        for t in range(1, 3 * c.decay_t0):
-            power = power @ c.matrix
-            assert np.linalg.norm(power, 2) <= c.power_norm_bound(t) * (1 + 1e-12)
+        C, q = decay_certificate(c.matrix)
+        assert (C, q) == c.certificate
+        assert C >= 1.0 and c.spectral_radius <= q < 1.0
 
     def test_truncation_horizon(self):
         W, psi = rotation_walk()
         c = build_contraction(W, psi, 1.0)
         T = c.truncation_horizon(1e-9)
-        assert c.power_norm_bound(T) <= 1e-9
+        C, q = c.certificate
+        assert isinstance(T, int)
+        # the bound covers the whole tail sum_{t >= T} ||M^t||
+        assert c.power_norm_bound(T) / (1 - q) <= 1e-9 < c.power_norm_bound(T - 1) / (1 - q)
 
     def test_horizon_refused_without_contraction(self):
         c = build_contraction(np.eye(2), np.array([1.0, 0]), 0.7)
         with pytest.raises(CouplingError, match="spr"):
+            c.truncation_horizon(1e-9)
+
+    def test_horizon_beyond_cap_refused(self):
+        # alpha = 1e-5 leaves 1 - spr(M) ~ 5e-12: the certified horizon is ~1e13 steps
+        W, psi = rotation_walk()
+        c = build_contraction(W, psi, 1e-5)
+        c.require_contractive()
+        with pytest.raises(CouplingError, match=f"cap of {MAX_HORIZON}"):
             c.truncation_horizon(1e-9)
 
 

@@ -58,9 +58,23 @@ class TestValidateSymbol:
         assert rep.minima[0] == pytest.approx(0.25, abs=1e-9)
         assert rep.maxima[0] == pytest.approx(0.75, abs=1e-9)
 
-    def test_grid_floor(self):
-        with pytest.raises(ReservoirError, match="64"):
-            validate_symbol(env_m1(), grid_size=32)
+    def test_minimum_between_grid_points_fails(self):
+        # g = 0.5 - 3e-8 + 0.5 cos(phi + theta) dips to -3e-8 at phi = pi - theta,
+        # 0.3 steps off a 4096-point grid, where g is still +2.3e-8
+        theta = 0.3 * 2 * np.pi / 4096
+        rep = validate_symbol(env_m1((0.5 - 3e-8, 0.25 * np.exp(1j * theta))))
+        assert not rep.passed
+        assert rep.minima[0] == pytest.approx(-3e-8, abs=1e-15)
+        assert rep.worst_phi[0] == pytest.approx(np.pi - theta, abs=1e-7)
+
+    def test_degenerate_polynomials(self):
+        # vanishing higher coefficients leave z^L g'(z) identically zero
+        rep = validate_symbol(env_m1((0.4, 0.0, 0.0)))
+        assert rep.passed and rep.minima == rep.maxima == (pytest.approx(0.4),)
+        # top coefficient zero: the derivative polynomial loses its end terms
+        rep = validate_symbol(env_m1((0.5, 0.2, 0.0)))
+        assert rep.minima[0] == pytest.approx(0.1, abs=1e-14)
+        assert rep.maxima[0] == pytest.approx(0.9, abs=1e-14)
 
 
 class TestEvalSeries:

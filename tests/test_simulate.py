@@ -167,9 +167,8 @@ class TestConvergenceToDelta:
         target = asymptotic_symbol(env, W, coup)
         spr = target.contraction.spectral_radius
         # stop while the residual is still far above the numerical floor
-        horizon = target.contraction.truncation_horizon(1e-7)
         state = CovarianceState(Window(0, env.max_degree, 1), env, W, coup)
-        state.step(horizon - 50)
+        state.step(state.relaxation_horizon(1e-7) - 50)
         errs = []
         for _ in range(50):
             state.step(1)
