@@ -49,12 +49,10 @@ class AsymptoticState:
     def dimension(self) -> int:
         return self.delta.shape[0]
 
-    def validate(self, tol: float = 1e-10):
-        dev_h = np.linalg.norm(self.delta - self.delta.conj().T)
-        if dev_h > 1e-12:
-            raise CouplingError(f"Delta is not Hermitian: deviation {dev_h:.3e}")
+    def validate(self):
+        """Check ``0 <= Delta <= 1`` (within 1e-10); ``Delta`` is Hermitian by construction."""
         lo, hi = self.eigenvalues.min(), self.eigenvalues.max()
-        if lo < -tol or hi > 1.0 + tol:
+        if lo < -1e-10 or hi > 1.0 + 1e-10:
             raise CouplingError(f"Delta spectrum [{lo:.3e}, {hi:.3e}] escapes [0, 1]")
 
 
@@ -71,7 +69,6 @@ def asymptotic_symbol(env: EnvironmentSpec, W: np.ndarray,
     for i, f in enumerate(env.symbol_functions):
         if w[i] != 0.0:
             delta += w[i] * 2.0 * hermitian_part(eval_series(f, Mstar))
-    delta = hermitian_part(delta)
     eigenvalues = np.linalg.eigvalsh(delta)
     state = AsymptoticState(delta, eigenvalues, contraction, env, w)
     state.validate()
@@ -114,32 +111,27 @@ def particle_number_distribution(state: AsymptoticState) -> PoissonBinomial:
     return PoissonBinomial.from_parameters(state.eigenvalues)
 
 
-def node_profile(state: AsymptoticState, n: int | None = None) -> np.ndarray:
+def node_profile(state: AsymptoticState) -> np.ndarray:
     """Particle density per ring vertex, ``p(nu) = sum_tau <e_{nu,tau}, Delta e_{nu,tau}>``.
 
     Only defined for spin-1/2 cycle walks (``d = 2n``); vertex 0 is the
     coupled site.
     """
-    d = state.dimension
-    if n is None:
-        n = d // 2
-    if d != 2 * n:
-        raise CouplingError(f"node_profile needs a cycle walk with d = 2n, got d = {d}, n = {n}")
+    if state.dimension % 2:
+        raise CouplingError(f"node_profile needs a spin-1/2 cycle walk, got d = {state.dimension}")
     diag = np.real(np.diag(state.delta))
     return diag[0::2] + diag[1::2]
 
 
-def node_correlations(state: AsymptoticState, n: int | None = None) -> np.ndarray:
+def node_correlations(state: AsymptoticState) -> np.ndarray:
     """Limiting occupation covariances ``C(nu, up) = -sum_{taus} |Delta_{nu tau, up tau'}|^2``.
 
     Off-diagonal entries only (diagonal set to zero); they are non-positive
-    for every valid symbol.
+    for every valid symbol.  Only defined for spin-1/2 cycle walks.
     """
-    d = state.dimension
-    if n is None:
-        n = d // 2
-    if d != 2 * n:
-        raise CouplingError(f"node_correlations needs a cycle walk with d = 2n, got d = {d}")
+    n, odd = divmod(state.dimension, 2)
+    if odd:
+        raise CouplingError(f"node_correlations needs a spin-1/2 cycle walk, got d = {state.dimension}")
     blocks = np.abs(state.delta.reshape(n, 2, n, 2)) ** 2
     corr = -blocks.sum(axis=(1, 3))
     np.fill_diagonal(corr, 0.0)

@@ -166,9 +166,9 @@ def _asymptotic_results(cfg):
     }
     n = _cycle_vertex_count(cfg)
     if n is not None:
-        results["profile"] = [float(x) for x in node_profile(state, n)]
+        results["profile"] = [float(x) for x in node_profile(state)]
         results["correlations"] = [[float(x) for x in row]
-                                   for row in node_correlations(state, n)]
+                                   for row in node_correlations(state)]
     return state, results, n
 
 
@@ -258,11 +258,10 @@ def _cmd_oracle_check(cfg, outdir, seed, threads):
     else:
         window = Window(-2, 1, cfg.environment.m)
     steps = int(cfg.options.get("steps", 20))
-    modes = window.env_dim + W.shape[0]
-    if modes > FockOracle.MAX_MODES:
-        raise ConfigError(
-            f"oracle_check refuses {modes} modes (cap {FockOracle.MAX_MODES}); "
-            "shrink the window or the sample")
+    try:
+        FockOracle.check_size(window.env_dim, W.shape[0])
+    except CouplingError as exc:
+        raise ConfigError(f"oracle_check: {exc}; shrink the window or the sample") from exc
     oracle = FockOracle(cfg.environment, W, coup, window)
     cov = CovarianceState(window, cfg.environment, W, coup, boundary="periodic")
     worst = float(np.abs(oracle.two_point_matrix() - cov.sigma).max())

@@ -206,7 +206,7 @@ def _parse_walk(section, path="walk") -> WalkSpec:
 
 
 def _parse_environment(section, path="environment") -> EnvironmentSpec:
-    _check_keys(section, {"m", "unitary", "symbol_functions", "gap_tol"}, path)
+    _check_keys(section, {"m", "unitary", "symbol_functions"}, path)
     m = int(section.get("m", 1))
     unitary = section.get("unitary", {"kind": "identity"})
     _check_keys(unitary, {"kind", "matrix", "phases", "vectors"}, f"{path}.unitary")
@@ -235,8 +235,7 @@ def _parse_environment(section, path="environment") -> EnvironmentSpec:
         coeffs = [_complex_scalar(c, f"{path}.symbol_functions[{i}].coefficients[{j}]")
                   for j, c in enumerate(f.get("coefficients", []))]
         functions.append(SymbolFunction(tuple(coeffs)))
-    gap_tol = float(section.get("gap_tol", 1e-8))
-    return EnvironmentSpec(U, functions, gap_tol=gap_tol)
+    return EnvironmentSpec(U, functions)
 
 
 def _parse_disorder(section, path="disorder") -> DisorderModel:
@@ -261,7 +260,6 @@ class ExperimentConfig:
 
     command: str | None
     raw: dict
-    seed: int = 0
     output_dir: str | None = None
     walk: WalkSpec | None = None
     environment: EnvironmentSpec | None = None
@@ -289,6 +287,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     command = data.get("command")
     if command is not None and command not in COMMANDS:
         raise ConfigError(f"config.command: unknown command {command!r}")
+    if not isinstance(data.get("seed", 0), int):
+        raise ConfigError("config.seed: expected an integer")
     options = data.get("options", {})
     _check_keys(options, OPTION_FIELDS, "config.options")
     for key, value in options.items():
@@ -296,7 +296,6 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"config.options.{key}: tolerances must be positive")
 
     cfg = ExperimentConfig(command=command, raw=data,
-                           seed=int(data.get("seed", 0)),
                            output_dir=data.get("output_dir"),
                            options=dict(options))
     if "walk" in data:

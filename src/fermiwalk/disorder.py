@@ -294,7 +294,7 @@ class AveragedDensityResult:
 
 
 def _trace_density(F: SymbolFunction, M: np.ndarray) -> float:
-    """``(2/n) Re tr F(M)`` for the ``2n x 2n`` contraction ``M`` of a ring.
+    """``(2/n) Re tr F(M)`` for a ``2n x 2n`` ring walk ``W`` or its contraction ``M``.
 
     ``tr F(M) = c(0) d/2 + sum_l c(l) tr(M^l)`` with ``d = 2n``; ``tr M^2`` is
     ``sum(M * M^T)``, so matrix products start at ``l = 3``.  The series needs
@@ -322,7 +322,8 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
     Estimator A: mean over draws of ``(1/n) tr(2 Re F(M))`` with
     ``M = W(omega)(1 + (cos alpha - 1) P)`` and ``psi* = delta_0 (x) e_{-1}``.
     Estimator B: ``(1/n) sum_eigenphases 2 Re F(e^{i theta})`` over the walk
-    spectra of an independent set of draws (the density-of-states integral).
+    spectra of an independent set of draws (the density-of-states integral),
+    which is ``(2/n) Re tr F(W)`` for unitary ``W``: no eigensolve is needed.
     Draws whose contraction fails ``spr(M) < 1`` are skipped and reported.
     """
     if samples < 2:
@@ -337,9 +338,7 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
         return _trace_density(F, contraction.matrix)
 
     def dos_value(index: int):
-        W = sample_disordered_walk(model, samples + index)
-        phases = _eigenphases(W, model)
-        return float(np.sum(F.circle_density(phases)) / model.n)
+        return _trace_density(F, sample_disordered_walk(model, samples + index))
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

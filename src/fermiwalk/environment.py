@@ -14,7 +14,9 @@ are finite, which makes the correlation-decay requirement automatic.
 
 On the ``i``-th sector ``Sigma`` acts by Fourier multiplication with
 ``g_i(phi) = 2 Re F_i(e^{i phi})``; the admissibility condition ``0 <= Sigma
-<= 1`` is exactly ``0 <= g_i <= 1`` on the circle.
+<= 1`` is exactly ``0 <= g_i <= 1`` on the circle.  The ``x_i`` are the
+complex Schur vectors of the normal ``U``, an orthonormal eigenbasis by
+construction (Golub & Van Loan, *Matrix Computations*, 7.1).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "ReservoirError",
@@ -34,6 +37,8 @@ __all__ = [
     "build_truncated_symbol",
     "hermitian_part",
 ]
+
+GAP_TOL = 1e-8
 
 
 class ReservoirError(ValueError):
@@ -108,21 +113,21 @@ class SymbolFunction:
 class EnvironmentSpec:
     """The unitary ``U``, its eigen-data, and one symbol function per sector.
 
-    Eigenpairs are ordered by ascending phase in [0, 2*pi); simplicity of the
-    spectrum (pairwise phase gap above ``gap_tol``) is enforced so that the
-    ordering, the projectors and the sector decomposition are unambiguous.
+    The eigenvectors are the Schur vectors of ``U``, ordered by ascending
+    phase in [0, 2*pi).  Simplicity of the spectrum (pairwise phase gap above
+    ``GAP_TOL``) is enforced so that the ordering, the projectors and the
+    sector decomposition are unambiguous.
     """
 
     U: np.ndarray
     symbol_functions: list
-    gap_tol: float = 1e-8
     phases: np.ndarray = field(init=False)
     eigenvectors: np.ndarray = field(init=False)  # columns x_i
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=complex)
-        if U.ndim != 2 or U.shape[0] != U.shape[1]:
-            raise ReservoirError(f"U must be square, got shape {U.shape}")
+        if U.ndim != 2 or U.shape[0] != U.shape[1] or not U.size:
+            raise ReservoirError(f"U must be square and non-empty, got shape {U.shape}")
         m = U.shape[0]
         dev = np.linalg.norm(U.conj().T @ U - np.eye(m))
         if dev > 1e-12:
@@ -131,29 +136,14 @@ class EnvironmentSpec:
             raise ReservoirError(
                 f"need one symbol function per sector: m = {m}, got {len(self.symbol_functions)}")
 
-        evals, evecs = np.linalg.eig(U)
-        phases = np.angle(evals) % (2.0 * np.pi)
+        T, Z = scipy.linalg.schur(U, output="complex")
+        phases = np.angle(np.diag(T)) % (2.0 * np.pi)
         order = np.argsort(phases)
-        phases, evecs = phases[order], evecs[:, order]
-        # eig of a unitary returns an orthonormal eigenbasis only up to
-        # round-off; re-orthonormalise and check simplicity.
-        if m > 1:
-            gaps = np.diff(np.concatenate([phases, [phases[0] + 2.0 * np.pi]]))
-            if gaps.min() <= self.gap_tol:
-                raise ReservoirError(
-                    f"U must have simple eigenvalues: min phase gap {gaps.min():.3e}"
-                    f" <= {self.gap_tol:.1e}")
-        evecs, _ = np.linalg.qr(evecs)
-        self.U = U
-        self.phases = phases
-        self.eigenvectors = evecs
-
-        resid = np.linalg.norm(U @ evecs - evecs * np.exp(1j * phases)[None, :])
-        if resid > 1e-10:
-            raise ReservoirError(f"eigendecomposition residual {resid:.3e}")
-        proj_sum = sum(self.projector(i) for i in range(m))
-        if np.linalg.norm(proj_sum - np.eye(m)) > 1e-12:
-            raise ReservoirError("spectral projectors do not resolve the identity")
+        self.U, self.phases, self.eigenvectors = U, phases[order], Z[:, order]
+        gaps = np.diff(np.append(self.phases, self.phases[0] + 2.0 * np.pi))
+        if gaps.min() <= GAP_TOL:
+            raise ReservoirError(
+                f"U must have simple eigenvalues: min phase gap {gaps.min():.3e} <= {GAP_TOL:.1e}")
 
     @property
     def m(self) -> int:

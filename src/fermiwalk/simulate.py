@@ -278,10 +278,14 @@ def flux_finite_time(state: CovarianceState, i: int) -> float:
 # Second quantisation
 
 
+# Gamma(V) forms minors for all 2^n x 2^n occupation pairs: 0.5 GB at n = 12
+MAX_FACTOR_MODES = 10
+
+
 def _occupations(n: int) -> np.ndarray:
     """Occupation bits of the ``2^n`` configurations of ``n`` modes, mode 0 the top bit."""
-    if n > 10:
-        raise CouplingError(f"second quantisation capped at 10 modes, got {n}")
+    if n > MAX_FACTOR_MODES:
+        raise CouplingError(f"second quantisation capped at {MAX_FACTOR_MODES} modes, got {n}")
     return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
@@ -349,11 +353,12 @@ class FockOracle:
 
     Same-species representation: one fermion species on the joint one-particle
     space, with the interaction realised as the second quantisation of the
-    one-particle rotation (Appendix-style).  Mode ordering puts the reservoir
-    modes first -- sites reordered so the coupling site comes last, internal
-    basis rotated so ``v`` is its last vector -- followed by the sample modes
-    rotated so ``psi*`` comes first.  The coupling then acts on two adjacent
-    modes and carries no Jordan-Wigner string.
+    one-particle rotation (Appendix-style).  The oracle modes are the columns
+    of ``Q``: the ``E`` reservoir modes of the window first, in a Householder
+    basis whose last vector is ``delta_0 (x) v``, then the ``d`` sample modes,
+    in one whose first vector is ``psi*`` (:func:`_reflector`).  The coupling
+    then acts on the two adjacent modes ``E-1, E`` and carries no
+    Jordan-Wigner string.
 
     States are ``(2^D, K)`` arrays of occupation amplitudes, mode 0 the top
     bit of the row index; every many-body operation is a reshape, a slice or
@@ -366,31 +371,28 @@ class FockOracle:
     MAX_MODES = 14
     MAX_ENSEMBLE = 1024
 
+    @classmethod
+    def check_size(cls, E: int, d: int):
+        """Refuse ``E`` reservoir and ``d`` sample modes beyond the per-factor or total cap."""
+        if max(E, d) > MAX_FACTOR_MODES or E + d > cls.MAX_MODES:
+            raise CouplingError(
+                f"Fock oracle refuses {E} reservoir + {d} sample modes; caps are "
+                f"{MAX_FACTOR_MODES} per factor and {cls.MAX_MODES} in all")
+
     def __init__(self, env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpec,
                  window: Window, sample_symbol: np.ndarray | None = None,
                  ensemble: tuple | None = None):
         W = np.asarray(W, dtype=complex)
-        d = W.shape[0]
-        m = env.m
-        E = window.env_dim
+        E, d = window.env_dim, W.shape[0]
         D = E + d
-        if D > self.MAX_MODES:
-            raise CouplingError(
-                f"Fock oracle refuses {D} modes (window {window.n_sites} x {m} + {d} sample); "
-                f"cap is {self.MAX_MODES}")
+        self.check_size(E, d)
         self.env, self.W, self.coupling, self.window = env, W, coupling, window
         self.E, self.d, self.D = E, d, D
         self.t = 0
 
-        # --- one-particle basis map Q[canonical, oracle mode] ---
-        r_int = _complete_basis_last(coupling.v)             # internal basis, v last
-        site_order = [k for k in range(window.a, window.b + 1) if k != 0] + [0]
-        Q = np.zeros((D, D), dtype=complex)
-        for pos, k in enumerate(site_order):
-            off_can = window.site_offset(k)
-            Q[off_can:off_can + m, pos * m:(pos + 1) * m] = r_int
-        Q[E:, E:] = _complete_basis_first(coupling.star())
-        self.Q = Q
+        self.Q = Q = scipy.linalg.block_diag(             # Q[canonical, oracle mode]
+            _reflector(window.joint_env_vector(0, coupling.v, 0), E - 1),
+            _reflector(coupling.star(), 0))
 
         S_circ_U = np.kron(shift_matrix(window.n_sites, periodic=True).toarray(), env.U)
         V = Q.conj().T @ scipy.linalg.block_diag(S_circ_U, W) @ Q
@@ -425,7 +427,7 @@ class FockOracle:
             self.states = self._buffers[0]
             np.multiply(env_columns[:, None, :], sample_columns[None, :, :],
                         out=self.states.reshape(2 ** E, 2 ** d, K))
-        self._string_sign = 1 - 2 * (_popcount(np.arange(2 ** (D - 1)), D - 1) & 1)
+        self._string_sign = np.where(np.bitwise_count(np.arange(2 ** (D - 1))) & 1, -1, 1)
 
     def _gaussian_ensemble(self, sample_symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Weights of the members ``Gamma(eigenmodes)|config>``, and their two factors.
@@ -504,7 +506,7 @@ class FockOracle:
         return self.Q @ sigma_o @ self.Q.conj().T
 
     def total_number(self) -> float:
-        counts = _popcount(np.arange(2 ** self.D), self.D)
+        counts = np.bitwise_count(np.arange(2 ** self.D))
         dens = np.abs(self.states) ** 2
         return float(self.weights @ (counts @ dens))
 
@@ -512,7 +514,7 @@ class FockOracle:
         """Exact law of the sample particle number, indexed 0..d."""
         probs = np.abs(self.states.reshape(2 ** self.E, 2 ** self.d, -1)) ** 2
         per_sample_config = probs.sum(axis=0)                 # (2^d, K)
-        counts = _popcount(np.arange(2 ** self.d), self.d)
+        counts = np.bitwise_count(np.arange(2 ** self.d))
         pmf = np.zeros(self.d + 1)
         for p in range(self.d + 1):
             mask = counts == p
@@ -559,33 +561,21 @@ class FockOracle:
         return complex(total)
 
 
-def _complete_basis_first(psi: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is exactly ``psi`` (Gram-Schmidt completion)."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    d = psi.shape[0]
-    if np.array_equal(psi, np.eye(d, dtype=complex)[:, 0]):
-        return np.eye(d, dtype=complex)
-    cols = [psi / np.linalg.norm(psi)]
-    for k in range(d):
-        if len(cols) == d:
-            break
-        w = np.zeros(d, dtype=complex)
-        w[k] = 1.0
-        for c in cols:
-            w = w - np.vdot(c, w) * c
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            cols.append(w / nrm)
-    return np.stack(cols, axis=1)
+def _reflector(x: np.ndarray, k: int) -> np.ndarray:
+    """Unitary whose column ``k`` is the unit vector ``x``; exactly the identity for ``x = e_k``.
 
-
-def _complete_basis_last(v: np.ndarray) -> np.ndarray:
-    """Unitary whose last column is exactly ``v``."""
-    return np.roll(_complete_basis_first(v), -1, axis=1)
-
-
-def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
-    out = np.zeros_like(values)
-    for b in range(bits):
-        out = out + ((values >> b) & 1)
-    return out
+    The Householder reflector ``1 - 2 u u* / u* u`` with ``u = y - e_k`` and
+    ``u_k = -sum_{j != k} |y_j|^2 / (1 + y_k)`` (no cancellation; Golub & Van
+    Loan, 5.1) maps ``e_k`` to ``y = e^{-i arg x_k} x``; its other columns are
+    orthogonal to ``y``, hence to ``x``, which replaces column ``k``.
+    """
+    x = np.asarray(x, dtype=complex)
+    u = x * np.exp(-1j * np.angle(x[k]))
+    u[k] = 0.0
+    s = np.vdot(u, u).real
+    Q = np.eye(len(x), dtype=complex)
+    if s > 0.0:
+        u[k] = -s / (1.0 + abs(x[k]))
+        Q -= np.outer(u, u.conj()) * (2.0 / np.vdot(u, u).real)
+    Q[:, k] = x
+    return Q

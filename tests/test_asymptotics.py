@@ -131,6 +131,17 @@ class TestAsymptoticSymbol:
         analytic = eval_series(env.symbol_functions[0], Mstar)
         assert np.linalg.norm(analytic @ Mstar - Mstar @ analytic) <= 1e-12
 
+    def test_accepts_every_v_the_coupling_accepts(self):
+        # CouplingSpec admits ||v|| within 1e-10 of 1; the weights then sum to
+        # ||v||^2 and the closed forms take them as they are
+        v = V2 * (1.0 + 5e-11)
+        W, psi = rotation_walk(THETAS4)
+        coup = CouplingSpec(0.9, v, psi)
+        state = asymptotic_symbol(env_m2(), W, coup)
+        exact = asymptotic_symbol(env_m2(), W, CouplingSpec(0.9, V2, psi))
+        assert np.abs(state.delta - exact.delta).max() <= 1e-9
+        assert np.isfinite(flux_expectations(env_m2(), W, coup).phi).all()
+
     def test_refuses_non_contractive(self):
         env = env_m1()
         coup = CouplingSpec(0.9, np.array([1.0]), np.array([1.0, 0.0]))
@@ -198,6 +209,17 @@ class TestPoissonBinomial:
         assert pb.pmf_mean() == pytest.approx(pb.mean(), abs=1e-12)
         assert pb.pmf_variance() == pytest.approx(pb.variance(), abs=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_pmf_moments_are_parameter_sums(self, lam):
+        # mean sum p and variance sum p(1 - p); each convolution rounds once per entry
+        pb = PoissonBinomial.from_parameters(lam)
+        d = len(lam)
+        tol = 4 * (d + 1) ** 2 * np.finfo(float).eps
+        assert abs(pb.pmf.sum() - 1.0) <= tol
+        assert abs(pb.pmf_mean() - pb.mean()) <= tol
+        assert abs(pb.pmf_variance() - pb.variance()) <= tol
+
     def test_matches_subset_enumeration(self):
         # independent oracle: brute-force sum over occupation subsets
         rng = np.random.default_rng(12)
@@ -260,10 +282,12 @@ class TestNodeProfile:
                 assert np.abs(node_profile(state1) - p0).max() <= 1e-12
 
     def test_requires_spin_half_cycle(self):
-        W, psi = rotation_walk(THETAS4)
-        state = asymptotic_symbol(env_m1(), W, CouplingSpec(0.7, np.array([1.0]), psi))
-        with pytest.raises(CouplingError, match="cycle"):
-            node_profile(state, n=3)
+        # a raw walk on 3 modes has no spin-1/2 vertices
+        W = random_coin(3, np.random.default_rng(15))
+        state = asymptotic_symbol(env_m1(), W, CouplingSpec(0.7, np.array([1.0]), np.eye(3)[0]))
+        for observable in (node_profile, node_correlations):
+            with pytest.raises(CouplingError, match="cycle"):
+                observable(state)
 
 
 class TestNodeCorrelations:

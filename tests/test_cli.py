@@ -64,6 +64,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="config"):
             parse_config({"surprise": 1})
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ConfigError, match="config.seed"):
+            parse_config(dict(BASE_CONFIG, seed="7"))
+
     def test_alpha_sweep_exclusive(self):
         bad = dict(BASE_CONFIG)
         bad["coupling"] = {"alpha": 0.5, "alpha_sweep": [0.1]}
@@ -118,6 +122,12 @@ class TestCommands:
         path = write_config(tmp_path, dict(BASE_CONFIG, options={"grid_size": 4096}))
         assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
         assert "config.options.grid_size: unknown field" in capsys.readouterr().err
+
+    def test_validate_rejects_gap_tol(self, tmp_path, capsys):
+        env = dict(BASE_CONFIG["environment"], gap_tol=1e-6)
+        path = write_config(tmp_path, dict(BASE_CONFIG, environment=env))
+        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "environment.gap_tol: unknown field" in capsys.readouterr().err
 
     def test_unknown_field_exits_2(self, tmp_path):
         bad = dict(BASE_CONFIG)
@@ -264,14 +274,18 @@ class TestCommands:
         assert res["max_two_point_deviation"] <= 1e-10
 
     def test_oracle_check_refuses_large_windows(self, tmp_path):
-        cfg = {
-            "walk": BASE_CONFIG["walk"],
-            "environment": BASE_CONFIG["environment"],
-            "coupling": {"alpha": 0.7853981633974483},
-            "options": {"window": [-4, 4]},
-        }
-        path = write_config(tmp_path, cfg)
-        assert main(["oracle_check", "--config", path, "--out", str(tmp_path)]) == 2
+        swap = {"kind": "raw", "matrix": [[0, 1], [1, 0]], "star_vector": [1, 0]}
+        # 9 + 8 modes (over 14 in all), and 12 + 2 modes (over 10 in one factor)
+        for walk, window in ((BASE_CONFIG["walk"], [-4, 4]), (swap, [-5, 6])):
+            cfg = {
+                "walk": walk,
+                "environment": BASE_CONFIG["environment"],
+                "coupling": {"alpha": 0.7853981633974483},
+                "options": {"window": window},
+            }
+            path = write_config(tmp_path, cfg)
+            assert main(["oracle_check", "--config", path, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "oracle_check.json").exists()
 
     def test_disorder_dos(self, tmp_path):
         cfg = {

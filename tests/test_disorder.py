@@ -242,6 +242,21 @@ class TestAveragedDensity:
         ref = np.trace(2.0 * hermitian_part(eval_series(F, M))).real / n
         assert _trace_density(F, M) == pytest.approx(ref, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_dos_estimator_is_the_eigenphase_sum(self, n):
+        # estimator B per draw is (2/n) Re tr F(W) = (1/n) sum_j 2 Re F(e^{i theta_j}),
+        # against phases from a dense eigvals of each draw
+        m = DisorderModel(t=T, r=R, n=n, distribution="uniform",
+                          theta0=0.7, halfwidth=0.3, seed=4)
+        F = SymbolFunction((0.5, 0.1 + 0.05j, 0.125, 0.02, -0.01j, 0.003))
+        samples, ref = 3, []
+        for i in range(samples):
+            W = sample_disordered_walk(m, samples + i)
+            ref.append(np.sum(F.circle_density(eigenphases(W))) / n)
+            assert _trace_density(F, W) == pytest.approx(ref[-1], abs=1e-14)
+        res = averaged_density(m, F, alpha=0.3, samples=samples)
+        assert res.dos_mean == pytest.approx(np.mean(ref), abs=1e-14)
+
     def test_constant_symbol_fixes_normalisation(self):
         # symbol c0 on every mode: vertex average is exactly 2 c0 = 2 (2 F(0))
         m = DisorderModel(t=T, r=R, n=32, distribution="uniform",

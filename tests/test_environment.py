@@ -140,6 +140,28 @@ class TestEnvironmentSpec:
         with pytest.raises(ReservoirError, match="simple"):
             EnvironmentSpec(np.eye(2), [SymbolFunction((0.5,))] * 2)
 
+    def test_empty_unitary_rejected(self):
+        with pytest.raises(ReservoirError, match="non-empty"):
+            EnvironmentSpec(np.zeros((0, 0)), [])
+
+    @pytest.mark.parametrize("m, phases", [(3, None), (5, None), (3, (0.4, 0.4 + 2e-8, 2.0))])
+    def test_schur_vectors_are_an_orthonormal_eigenbasis(self, m, phases):
+        # random unitaries, and a near-degenerate one (phase gap 2e-8, just
+        # above GAP_TOL) whose eigenvectors are ill-conditioned individually
+        rng = np.random.default_rng(m)
+        X = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        if phases is None:
+            U = X
+        else:
+            U = X @ np.diag(np.exp(1j * np.array(phases))) @ X.conj().T
+        env = EnvironmentSpec(U, [SymbolFunction((0.5,))] * m)
+        Z = env.eigenvectors
+        assert np.all(np.diff(env.phases) > 0)
+        assert np.abs(Z.conj().T @ Z - np.eye(m)).max() <= 1e-14
+        assert np.abs(U @ Z - Z * np.exp(1j * env.phases)).max() <= 1e-13
+        if phases is not None:
+            assert np.allclose(env.phases, phases, rtol=0, atol=1e-13)
+
     def test_projectors_resolve_identity(self):
         rng = np.random.default_rng(4)
         U = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]

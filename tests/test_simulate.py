@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiwalk.asymptotics import PoissonBinomial, asymptotic_symbol, flux_expectations
 from fermiwalk.coupling import (CouplingError, CouplingSpec, Window, build_contraction,
                                 one_step_joint_operator, shift_matrix)
 from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
                                    build_truncated_symbol)
-from fermiwalk.simulate import (CovarianceState, FockOracle,
+from fermiwalk.simulate import (CovarianceState, FockOracle, _reflector,
                                 finite_time_pair_expectation, flux_finite_time,
                                 gamma_dense)
 from fermiwalk.walk import build_cycle_walk, cycle_star_vector, random_coin, rotation_coin
@@ -384,6 +386,78 @@ def random_ensemble(dim, K, seed):
     return weights / weights.sum(), states / np.linalg.norm(states, axis=0)
 
 
+def reflector_inputs():
+    rng = np.random.default_rng(21)
+    cases = []
+    for n, k in ((1, 0), (3, 0), (4, 3), (5, 2)):
+        e_k = np.eye(n, dtype=complex)[k]
+        cases += [(e_k, k), (-e_k, k), (1j * e_k, k)]
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cases.append((x / np.linalg.norm(x), k))
+        if n > 1:
+            x[k] = 0.0
+            cases.append((x / np.linalg.norm(x), k))
+            near = e_k + 1e-9 * np.roll(e_k, 1)         # u_k would cancel if formed as y_k - 1
+            cases.append((near / np.linalg.norm(near), k))
+    return cases
+
+
+@pytest.mark.parametrize("x, k", reflector_inputs())
+def test_reflector_is_unitary_with_column_k_equal_to_x(x, k):
+    Q = _reflector(x, k)
+    assert np.array_equal(Q[:, k], x)
+    assert np.abs(Q.conj().T @ Q - np.eye(len(x))).max() <= 1e-14
+    if np.array_equal(x, np.eye(len(x))[k]):
+        assert np.array_equal(Q, np.eye(len(x)))
+
+
+def admissible_symbol(rng, degree):
+    """``c(0)`` in [0, 1] with ``2 sum_l |c(l)| <= min(c0, 1 - c0)``, so ``0 <= 2 Re F <= 1``."""
+    c0 = rng.uniform(0.0, 1.0)
+    mags = 0.5 * min(c0, 1.0 - c0) * rng.dirichlet(np.ones(degree)) if degree else ()
+    return SymbolFunction((c0, *(r * np.exp(2j * np.pi * rng.uniform()) for r in mags)))
+
+
+@st.composite
+def oracle_instances(draw):
+    """Haar ``W`` (d <= 4), ``U`` and complex ``v``, and a periodic window with D <= 8 modes.
+
+    ``psi*`` is Haar, Haar with ``psi*[0] = 0``, or ``i e_0``, so the sample
+    reflector meets a generic, a vanishing and a non-real pivot.
+    """
+    m, d = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    sites = (8 - d) // m
+    a = draw(st.integers(1 - sites, 0))
+    b = draw(st.integers(0, a + sites - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    psi = random_coin(d, rng)[:, 0]
+    kind = draw(st.sampled_from(["haar", "zero_pivot", "i_e0"]))
+    if kind == "zero_pivot" and d > 1:
+        psi[0] = 0.0
+        psi /= np.linalg.norm(psi)
+    elif kind == "i_e0":
+        psi = 1j * np.eye(d)[0]
+    degree = draw(st.integers(0, 2))
+    env = EnvironmentSpec(random_coin(m, rng), [admissible_symbol(rng, degree) for _ in range(m)])
+    coup = CouplingSpec(draw(st.floats(0.05, np.pi - 0.05)), random_coin(m, rng)[:, 0], psi)
+    return env, random_coin(d, rng), coup, Window(a, b, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(oracle_instances())
+def test_oracle_two_point_matrix_is_periodic_covariance(instance):
+    env, W, coup, win = instance
+    oracle = FockOracle(env, W, coup, win)
+    cov = CovarianceState(win, env, W, coup, boundary="periodic")
+    eps = np.finfo(float).eps
+    for t in range(11):
+        # round-off grows at most linearly in the steps and the mode count
+        tol = 16 * oracle.D * eps * (t + 1)
+        assert np.abs(oracle.two_point_matrix() - cov.sigma).max() <= tol
+        oracle.step()
+        cov.step()
+
+
 class TestFockOracle:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("kind", ["random", "permutation"])
@@ -589,9 +663,11 @@ class TestFockOracle:
     def test_refuses_oversized_windows(self):
         env = env_m1()
         W, psi = rotation_walk()
-        coup = CouplingSpec(0.9, np.array([1.0]), psi)
-        with pytest.raises(CouplingError, match="refuses"):
-            FockOracle(env, W, coup, Window(-3, 6, 1))  # 10 + 8 modes
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        # 10 + 8 modes (over 14 in all), and 12 + 2 modes (over 10 in one factor)
+        for walk, star, win in ((W, psi, Window(-3, 6, 1)), (swap, np.eye(2)[0], Window(-5, 6, 1))):
+            with pytest.raises(CouplingError, match="refuses"):
+                FockOracle(env, walk, CouplingSpec(0.9, np.array([1.0]), star), win)
 
     def test_refuses_oversized_ensembles(self):
         # 4 reservoir + 8 sample modes, all fractionally filled: 2^12 states
