@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import ContractionM, CouplingError, CouplingSpec, build_contraction
-from .environment import EnvironmentSpec, eval_series, hermitian_part
+from .environment import EnvironmentSpec, _series, hermitian_part
 
 __all__ = [
     "AsymptoticState",
@@ -58,7 +58,12 @@ class AsymptoticState:
 
 def asymptotic_symbol(env: EnvironmentSpec, W: np.ndarray,
                       coupling: CouplingSpec) -> AsymptoticState:
-    """``Delta = sum_i w_i 2 Re F_i(M*)`` with the sector weights ``w_i = ||pi_i v||^2``."""
+    """``Delta = sum_i w_i 2 Re F_i(M*)`` with the sector weights ``w_i = ||pi_i v||^2``.
+
+    The series in ``M*`` needs ``||M*|| <= 1``, which holds by construction
+    and is not re-checked: ``W`` is unitary and ``1 + (cos alpha - 1) P``
+    has singular values 1 and ``|cos alpha|``.
+    """
     coupling.require_coupled()
     contraction = build_contraction(W, coupling.star(), coupling.alpha)
     contraction.require_contractive()
@@ -68,7 +73,7 @@ def asymptotic_symbol(env: EnvironmentSpec, W: np.ndarray,
     delta = np.zeros((d, d), dtype=complex)
     for i, f in enumerate(env.symbol_functions):
         if w[i] != 0.0:
-            delta += w[i] * 2.0 * hermitian_part(eval_series(f, Mstar))
+            delta += w[i] * 2.0 * hermitian_part(_series(f, Mstar))
     eigenvalues = np.linalg.eigvalsh(delta)
     state = AsymptoticState(delta, eigenvalues, contraction, env, w)
     state.validate()

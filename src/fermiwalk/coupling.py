@@ -9,9 +9,17 @@ one-particle sample map after one step is the contraction
     M = W (1 + (cos(alpha) - 1) P),
 
 whose spectral radius drops below 1 exactly when ``psi*`` is cyclic for ``W``
-and ``alpha`` is not a multiple of pi.  All asymptotic series downstream are
-truncated through the bound ``||M^t|| <= C q^t`` that one discrete Stein
-(Lyapunov) solve proves (:func:`decay_certificate`).
+and ``alpha`` is not a multiple of pi.  ``M`` is a rank-one perturbation of
+the unitary ``W = sum_k lambda_k x_k x_k^*``, so its eigenvalues are the
+roots of the secular equation
+
+    1 = (cos(alpha) - 1) sum_k w_k lambda_k / (z - lambda_k),   w_k = |<x_k, psi*>|^2
+
+(Golub, *SIAM Rev.* 15, 1973), and :func:`spectral_radius` finds them from
+one Hermitian eigensolve of ``W``, never by a dense eigensolve of the
+non-normal ``M``.  All asymptotic series downstream are truncated through
+the bound ``||M^t|| <= C q^t`` that one discrete Stein (Lyapunov) solve
+proves (:func:`decay_certificate`).
 
 The joint one-particle space used by the simulators is a site window of the
 reservoir followed by the sample; see :class:`Window` for the layout.
@@ -27,7 +35,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .environment import EnvironmentSpec
-from .walk import check_unitary
+from .walk import check_unitary, unitary_spectrum
 
 __all__ = [
     "CouplingError",
@@ -48,6 +56,10 @@ SIN_ALPHA_MIN = 1e-8
 SPR_MAX = 1.0 - 1e-12
 # largest step count a certified horizon may ask for
 MAX_HORIZON = 200_000
+# Aberth-Ehrlich sweeps allowed before the secular roots count as not found
+# (3-5 on disorder draws, up to about 20 on Haar walks with weights near
+# 1/d; a double root converges linearly)
+MAX_SWEEPS = 100
 
 
 class CouplingError(ValueError):
@@ -100,16 +112,19 @@ class ContractionM:
 
     The certificate ``(C, q)`` proves ``||M^t|| <= C q^t`` for every ``t``
     (see :func:`decay_certificate`); it is solved on first use and cached.
+    ``pole`` is a phase in a spectral gap of ``W``, if the caller knows one
+    (see :func:`~fermiwalk.walk.unitary_spectrum`).
     """
 
     matrix: np.ndarray
     W: np.ndarray
     psi_star: np.ndarray
     alpha: float
+    pole: float | None = None
     spectral_radius: float = field(init=False)
 
     def __post_init__(self):
-        self.spectral_radius = spectral_radius(self.matrix)
+        self.spectral_radius = spectral_radius(self.W, self.psi_star, self.alpha, self.pole)
 
     @property
     def contractive(self) -> bool:
@@ -138,11 +153,14 @@ class ContractionM:
                 "formulas need a cyclic psi* and alpha not a multiple of pi")
 
 
-def build_contraction(W: np.ndarray, psi_star: np.ndarray, alpha: float) -> ContractionM:
+def build_contraction(W: np.ndarray, psi_star: np.ndarray, alpha: float,
+                      pole: float | None = None) -> ContractionM:
     """Assemble ``M = W (1 + (cos alpha - 1) P)`` with ``P`` projecting on ``psi*``.
 
     ``P`` has rank one, so ``M = W + (cos alpha - 1) (W psi*) psi*^H``: one
-    matrix-vector product and one outer product, O(d^2).
+    matrix-vector product and one outer product, O(d^2).  ``pole``, a phase
+    in a known spectral gap of ``W``, saves the spectral-radius solve the
+    search for one.
     """
     W = np.asarray(W, dtype=complex)
     psi_star = np.asarray(psi_star, dtype=complex).reshape(-1)
@@ -150,12 +168,70 @@ def build_contraction(W: np.ndarray, psi_star: np.ndarray, alpha: float) -> Cont
     if abs(np.linalg.norm(psi_star) - 1.0) > 1e-10:
         raise CouplingError("psi* must be a unit vector")
     M = W + np.outer((np.cos(alpha) - 1.0) * (W @ psi_star), psi_star.conj())
-    return ContractionM(M, W, psi_star, float(alpha))
+    return ContractionM(M, W, psi_star, float(alpha), pole)
 
 
-def spectral_radius(M: np.ndarray) -> float:
-    """Largest eigenvalue modulus, via a dense eigensolve."""
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=complex)))))
+def spectral_radius(W: np.ndarray, psi_star: np.ndarray, alpha: float,
+                    pole: float | None = None) -> float:
+    """``spr(M)`` for ``M = W (1 + (cos alpha - 1) P)``, from the secular equation.
+
+    :func:`~fermiwalk.walk.unitary_spectrum` (``pole`` as there) gives the
+    ``lambda_k`` and ``w_k``, and :func:`_secular_gap` the roots.
+    ``cos alpha - 1`` is taken as ``-2 sin^2(alpha/2)``, without
+    cancellation at small ``alpha``.
+    """
+    phases, weights = unitary_spectrum(W, psi_star, pole)
+    return 1.0 - _secular_gap(phases, weights, -2.0 * np.sin(0.5 * alpha) ** 2)
+
+
+def _secular_gap(phases: np.ndarray, weights: np.ndarray, c: float) -> float:
+    """``1 - max |z|`` over the roots of ``f(z) = 1 - c sum_k w_k lambda_k / (z - lambda_k)``.
+
+    With ``lambda_k = e^{i phases[k]}`` these are the eigenvalues of
+    ``W (1 + cP)``: ``det(z - M) = det(z - W) f(z)``.  For ``c = 0``, a zero
+    weight or a repeated ``lambda_k`` a root sits exactly on the unit circle
+    and the gap is 0 (a subnormal ``c w_k`` counts as zero).  Otherwise
+    Aberth-Ehrlich sweeps on ``det(z - W) f(z)`` (Bini & Robol, *J. Comput.
+    Appl. Math.* 272, 2014) find all ``d`` roots at once, O(d^2) per sweep:
+    the step at ``z_i`` is ``f / (f' + f (sum_k 1/(z_i - lambda_k) -
+    sum_{j != i} 1/(z_i - z_j)))``.  Root ``i`` starts at the first-order
+    ``lambda_i (1 + c w_i)`` and is stored as ``lambda_i + delta_i``, so
+    that ``1 - |z_i|`` keeps its relative accuracy next to the circle.  It
+    leaves the sweeps once ``|f(z_i)|`` is at the round-off level of its
+    terms or its step no longer moves it.
+    """
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    d = len(phases)
+    lam = np.exp(1j * phases)
+    D = lam[:, None] - lam                       # lambda_i - lambda_k
+    u = c * weights * lam
+    # 1 / delta_k would overflow for a subnormal c w_k
+    if np.abs(u).min() < tiny or np.count_nonzero(D) < d * (d - 1):
+        return 0.0
+    noise = 4.0 * eps * np.abs(u)
+    ones = np.ones(d)
+    delta = u.copy()
+    active = rows = np.arange(d)
+    for _ in range(MAX_SWEEPS):
+        da = delta[active]
+        A = D[active] + da[:, None]              # z_i - lambda_k
+        R = 1.0 / A
+        f = 1.0 - R @ u
+        settled = np.abs(f) <= 4.0 * eps + np.abs(R) @ noise
+        if settled.all():
+            break
+        Z = A - delta                            # z_i - z_j
+        Z[rows[:active.size], active] = np.inf
+        step = f / ((R * u * R) @ ones + f * ((R - 1.0 / Z) @ ones))
+        done = settled | (np.abs(step) <= eps * np.abs(da))
+        delta[active] = np.where(done, da, da - step)
+        active = active[~done]
+        if not active.size:
+            break
+    else:
+        raise CouplingError(f"secular roots not found in {MAX_SWEEPS} Aberth sweeps")
+    rel = delta / lam                            # z_i = lambda_i (1 + rel_i)
+    return float(np.min((2.0 * rel.real + np.abs(rel) ** 2) / -(1.0 + np.abs(1.0 + rel))))
 
 
 def decay_certificate(M: np.ndarray, spr: float | None = None) -> tuple[float, float]:
@@ -168,10 +244,12 @@ def decay_certificate(M: np.ndarray, spr: float | None = None) -> tuple[float, f
     and ``C = sqrt(lambda_max(X) / lambda_min(X))``,
     ``q = q0 sqrt(1 - r / lambda_max(X))``.  Raises :class:`CouplingError`
     when ``spr`` fails the contraction gate or ``X`` or ``r`` is not positive.
+    Without ``spr`` (a general ``M``, such as the open covariance step), the
+    radius comes from a dense eigensolve.
     """
     M = np.asarray(M, dtype=complex)
     if spr is None:
-        spr = spectral_radius(M)
+        spr = float(np.max(np.abs(np.linalg.eigvals(M))))
     if spr >= SPR_MAX:
         raise CouplingError(f"spr = {spr:.12f} is not < 1: no decay certificate")
     q = spr + (1.0 - spr) / 32.0

@@ -23,15 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .coupling import CouplingError, build_contraction
 from .environment import SymbolFunction
-from .walk import WalkError, build_cycle_walk, cycle_star_vector
+from .walk import WalkError, build_cycle_walk, cycle_star_vector, unitary_spectrum
 
-# chord distance from the Cayley pole below which a computed eigenvalue
-# triggers one re-centred solve (phase errors then stay near 1e-14)
-POLE_CLEARANCE = 0.05
 # how far a custom phase may stray outside theta0 +- halfwidth by round-off
 SUPPORT_SLACK = 1e-12
 
@@ -161,50 +157,15 @@ class DOSEstimate:
         return float(np.sum(fn(self.bin_centers) * self.mass))
 
 
-def _cayley_phases(W: np.ndarray, pole: float) -> np.ndarray:
-    """Eigenphases in ``[0, 2 pi)`` of the unitary ``W`` by a Hermitian eigensolve.
-
-    With ``z = -e^{-i pole}``, ``H = i(1 - zW)(1 + zW)^{-1} = 2i(1 + zW)^{-1} - i``
-    is Hermitian, and an eigenvalue ``e^{i theta}`` of ``W`` maps to
-    ``h = tan((theta + arg z)/2)``, so ``theta = 2 arctan(h) - arg z``.  The
-    map is singular at ``e^{i pole}``; the phase error grows like
-    ``eps / (distance of the spectrum from the pole)``.  The transform works on
-    ``W^T`` (Fortran-ordered for a C-ordered ``W``), whose ``H^T`` has the same
-    spectrum, so that ``inv`` and ``eigvalsh`` overwrite it without a copy.
-    """
-    z = -np.exp(-1j * pole)
-    diag = np.arange(W.shape[0])
-    a = np.multiply(W.T, z, order="F")
-    a[diag, diag] += 1.0
-    a = scipy.linalg.inv(a, overwrite_a=True, check_finite=False)
-    a *= 2j
-    a[diag, diag] -= 1j
-    h = scipy.linalg.eigvalsh(a, overwrite_a=True, check_finite=False)
-    return (2.0 * np.arctan(h) - np.angle(z)) % (2.0 * np.pi)
-
-
-def _widest_gap_centre(phases: np.ndarray) -> float:
-    """Middle of the widest arc of the unit circle that holds none of ``phases``."""
-    ordered = np.sort(phases)
-    gaps = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
-    k = int(np.argmax(gaps))
-    return float(ordered[k] + 0.5 * gaps[k])
-
-
 def _eigenphases(W: np.ndarray, model: DisorderModel) -> np.ndarray:
     """Eigenphases in ``[0, 2 pi)`` of a walk ``W`` drawn from ``model``.
 
-    The Cayley pole sits at ``e^{-i theta0}``, the centre of a gap that every
-    draw's spectrum avoids by ``model.gap_halfwidth``.  When the computed
-    spectrum comes within ``POLE_CLEARANCE`` (chord) of the pole, as it can
-    when that gap is narrow or closed, the pole moves once to the middle of
-    the widest empty arc of the computed phases and ``W`` is solved again.
+    The Cayley pole of :func:`~fermiwalk.walk.unitary_spectrum` sits at
+    ``e^{-i theta0}``, the centre of a gap that every draw's spectrum avoids
+    by ``model.gap_halfwidth``; where that gap is narrow or closed, the
+    solver re-centres the pole.
     """
-    pole = -model.theta0
-    phases = _cayley_phases(W, pole)
-    if np.abs(np.exp(1j * phases) - np.exp(1j * pole)).min() < POLE_CLEARANCE:
-        phases = _cayley_phases(W, _widest_gap_centre(phases))
-    return phases
+    return unitary_spectrum(W, pole=-model.theta0)[0]
 
 
 def density_of_states(model: DisorderModel, samples: int, bins: int = 512,
@@ -332,7 +293,7 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
 
     def trace_value(index: int):
         W = sample_disordered_walk(model, index)
-        contraction = build_contraction(W, psi, alpha)
+        contraction = build_contraction(W, psi, alpha, pole=-model.theta0)
         if not contraction.contractive:
             return None
         return _trace_density(F, contraction.matrix)

@@ -257,11 +257,16 @@ def eval_series(F: SymbolFunction, B: np.ndarray) -> np.ndarray:
     nb = _spectral_norm(B)
     if nb > 1.0 + 1e-10:
         raise ReservoirError(f"eval_series needs ||B|| <= 1, got {nb:.12f}")
-    d = B.shape[0]
-    out = (F.coefficients[0] / 2.0) * np.eye(d, dtype=complex)
-    power = np.eye(d, dtype=complex)
-    for c in F.coefficients[1:]:
-        power = power @ B
+    return _series(F, B)
+
+
+def _series(F: SymbolFunction, B: np.ndarray) -> np.ndarray:
+    """:func:`eval_series` without its checks, for a ``B`` that is a square contraction by construction."""
+    out = (F.coefficients[0] / 2.0) * np.eye(B.shape[0], dtype=complex)
+    power = B
+    for ell, c in enumerate(F.coefficients[1:], start=1):
+        if ell > 1:
+            power = power @ B
         out = out + c * power
     return out
 

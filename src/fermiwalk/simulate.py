@@ -28,6 +28,7 @@ from .coupling import (CouplingError, CouplingSpec, Window, build_contraction,
                        decay_certificate, horizon, one_step_joint_operator,
                        shift_matrix)
 from .environment import EnvironmentSpec, build_truncated_symbol
+from .walk import householder_vector
 
 __all__ = [
     "CovarianceState",
@@ -524,12 +525,16 @@ class FockOracle:
     def sample_occupation_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """First and second moments of the per-vertex number operators.
 
-        Requires the star vector to be the first canonical sample mode (true
-        for cycle walks), so vertex occupations are diagonal in the occupation
-        basis.  Returns ``(<n_nu>, <n_nu n_up>)`` for spin-1/2 vertices.
+        Requires the star vector to be the first canonical sample mode up to
+        a phase (true for cycle walks): the sample block of ``Q`` is then
+        diagonal with unimodular entries, each oracle mode is a canonical
+        mode times a phase, and vertex occupations are diagonal in the
+        occupation basis.  Returns ``(<n_nu>, <n_nu n_up>)`` for spin-1/2
+        vertices.
         """
-        if np.linalg.norm(self.Q[self.E:, self.E:] - np.eye(self.d)) > 1e-12:
-            raise CouplingError("vertex moments need psi* to be the first canonical mode")
+        if np.linalg.norm(np.abs(self.Q[self.E:, self.E:]) - np.eye(self.d)) > 1e-12:
+            raise CouplingError("vertex moments need psi* to be the first canonical mode "
+                                "up to a phase")
         if self.d % 2 != 0:
             raise CouplingError("vertex moments need a spin-1/2 sample (even d)")
         n = self.d // 2
@@ -564,18 +569,14 @@ class FockOracle:
 def _reflector(x: np.ndarray, k: int) -> np.ndarray:
     """Unitary whose column ``k`` is the unit vector ``x``; exactly the identity for ``x = e_k``.
 
-    The Householder reflector ``1 - 2 u u* / u* u`` with ``u = y - e_k`` and
-    ``u_k = -sum_{j != k} |y_j|^2 / (1 + y_k)`` (no cancellation; Golub & Van
-    Loan, 5.1) maps ``e_k`` to ``y = e^{-i arg x_k} x``; its other columns are
-    orthogonal to ``y``, hence to ``x``, which replaces column ``k``.
+    The Householder reflector of :func:`~fermiwalk.walk.householder_vector`
+    maps ``e_k`` to ``e^{-i arg x_k} x``; its other columns are orthogonal to
+    that vector, hence to ``x``, which replaces column ``k``.
     """
     x = np.asarray(x, dtype=complex)
-    u = x * np.exp(-1j * np.angle(x[k]))
-    u[k] = 0.0
-    s = np.vdot(u, u).real
     Q = np.eye(len(x), dtype=complex)
-    if s > 0.0:
-        u[k] = -s / (1.0 + abs(x[k]))
+    u = householder_vector(x, k)
+    if u is not None:
         Q -= np.outer(u, u.conj()) * (2.0 / np.vdot(u, u).real)
     Q[:, k] = x
     return Q

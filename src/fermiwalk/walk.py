@@ -9,6 +9,11 @@ and the conditional hop ``W1`` second.
 Basis convention (fixed so matrix dumps are reproducible): position-major,
 internal-minor.  For cycles the flat index of ``delta_nu (x) e_tau`` is
 ``2*nu + (0 if tau == -1 else 1)``; for regular graphs it is ``r*nu + a``.
+
+:func:`unitary_spectrum` is the one eigensolver for walk unitaries: a
+Hermitian eigensolve of the Cayley transform, which gives the eigenphases
+and, on request, the weights ``|<x_k, psi>|^2`` of a vector on the
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "WalkError",
@@ -29,9 +35,18 @@ __all__ = [
     "cycle_star_vector",
     "is_cyclic",
     "check_unitary",
+    "unitary_spectrum",
+    "householder_vector",
 ]
 
 UNITARITY_TOL = 1e-12
+# chord distance from the Cayley pole below which a computed eigenvalue
+# triggers one re-centred solve (phase errors then stay near 1e-14)
+POLE_CLEARANCE = 0.05
+# pole of the phases-only first solve that locates the widest spectral gap
+# of a walk with no known gap; no root of unity, so no common walk has an
+# eigenvalue on it
+FIRST_POLE = 1.0
 
 
 class WalkError(ValueError):
@@ -254,3 +269,114 @@ class WalkSpec:
         if self.kind == "regular_graph":
             return self.n * self.r
         return self.matrix.shape[0]
+
+
+def householder_vector(x: np.ndarray, k: int) -> np.ndarray | None:
+    """``u`` whose reflector ``1 - 2 u u* / u* u`` maps ``e_k`` to ``e^{-i arg x_k} x``.
+
+    ``x`` is a unit vector; ``None`` when it is ``e_k`` up to a phase (the
+    reflector would be the identity).  ``u = y - e_k`` for
+    ``y = e^{-i arg x_k} x``, with ``u_k = -sum_{j != k} |y_j|^2 / (1 + y_k)``
+    written without cancellation (Golub & Van Loan, 5.1).
+    """
+    x = np.asarray(x, dtype=complex)
+    u = x * np.exp(-1j * np.angle(x[k]))
+    u[k] = 0.0
+    s = np.vdot(u, u).real
+    if s == 0.0:
+        return None
+    u[k] = -s / (1.0 + abs(x[k]))
+    return u
+
+
+def _cayley_matrix(W: np.ndarray, pole: float, first: np.ndarray | None):
+    """``(H^T, z)``: the Hermitian Cayley transform of ``W`` at ``z = -e^{-i pole}``, transposed.
+
+    ``H = i(1 - zW)(1 + zW)^{-1} = 2i(1 + zW)^{-1} - i`` is Hermitian, and an
+    eigenvalue ``e^{i theta}`` of ``W`` maps to ``h = tan((theta + arg z)/2)``.
+    The map is singular at ``e^{i pole}``; the phase error grows like
+    ``eps / (distance of the spectrum from the pole)``.  The transform works
+    on ``W^T`` (Fortran-ordered for a C-ordered ``W``), whose ``H^T`` has the
+    same spectrum and the conjugate eigenvectors, so that LAPACK overwrites
+    it without a copy.  Given a unit vector ``first``, ``W^T`` is first
+    conjugated by the Householder reflector ``R`` with ``R e_0 = first`` (up
+    to a phase), a rank-two update, so that ``first`` becomes the first
+    basis vector.
+    """
+    z = -np.exp(-1j * pole)
+    diag = np.arange(W.shape[0])
+    a = np.multiply(W.T, z, order="F")
+    a[diag, diag] += 1.0
+    u = None if first is None else householder_vector(first, 0)
+    if u is not None:
+        beta = 2.0 / np.vdot(u, u).real
+        a -= np.outer(u, beta * (u.conj() @ a))
+        a -= np.outer(beta * (a @ u), u.conj())
+    # getrf + getri: scipy.linalg.inv's numbers without its condition estimate
+    lu, piv, info = lapack.zgetrf(a, overwrite_a=1)
+    lwork = int(lapack.zgetri_lwork(W.shape[0])[0].real)
+    a, info2 = lapack.zgetri(lu, piv, lwork=lwork, overwrite_lu=1)
+    if info or info2:
+        raise np.linalg.LinAlgError(f"1 + zW is singular: W has an eigenvalue at the pole {pole}")
+    a *= 2j
+    a[diag, diag] -= 1j
+    return a, z
+
+
+def _cayley_spectrum(W: np.ndarray, pole: float,
+                     psi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenphases of ``W`` at one pole and, given ``psi``, the weights ``|<x_k, psi>|^2``.
+
+    One tridiagonal reduction of the Cayley matrix (``zhetrd``, lower), then
+    ``dsterf`` for the eigenvalues alone (what ``eigvalsh`` runs, to the bit)
+    or ``dstevd`` with the tridiagonal eigenvectors.  The eigenvectors of
+    ``H^T`` are the conjugates of those of ``W``, so the weights are
+    ``|<x_k^*, psi^*>|^2``.  With ``psi^*`` the first basis vector, which
+    the lower reduction keeps first, they are the squared first components
+    of the tridiagonal eigenvectors: nothing goes back to the full basis.
+    """
+    a, z = _cayley_matrix(W, pole, None if psi is None else psi.conj())
+    d = a.shape[0]
+    lwork = int(lapack.zhetrd_lwork(d, lower=1)[0].real)
+    _, diag, off, _, info = lapack.zhetrd(a, lower=1, lwork=lwork, overwrite_a=1)
+    if d == 1:
+        off = np.zeros(1)       # the wrappers want one off-diagonal entry, unread
+    if psi is None:
+        h, info2 = lapack.dsterf(diag, off, overwrite_d=1, overwrite_e=1)
+        weights = None
+    else:
+        h, Y, info2 = lapack.dstevd(diag, off, compute_v=1, overwrite_d=1, overwrite_e=1)
+        weights = Y[0] ** 2
+    if info or info2:
+        raise np.linalg.LinAlgError(f"Cayley eigensolve failed (info {info}, {info2})")
+    return (2.0 * np.arctan(h) - np.angle(z)) % (2.0 * np.pi), weights
+
+
+def _widest_gap_centre(phases: np.ndarray) -> float:
+    """Middle of the widest arc of the unit circle that holds none of ``phases``."""
+    ordered = np.sort(phases)
+    gaps = np.concatenate((ordered[1:], ordered[:1] + 2.0 * np.pi)) - ordered
+    k = int(np.argmax(gaps))
+    return float(ordered[k] + 0.5 * gaps[k])
+
+
+def unitary_spectrum(W: np.ndarray, psi: np.ndarray | None = None,
+                     pole: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenphases in ``[0, 2 pi)`` of the unitary ``W`` and, given ``psi``, its weights.
+
+    Returns ``(phases, weights)`` with ``weights[k] = |<x_k, psi>|^2`` on the
+    eigenvector ``x_k`` of ``e^{i phases[k]}``, or ``None`` without ``psi``.
+    ``pole`` is a phase that the caller knows to lie in a spectral gap; the
+    Cayley transform is singular there.  Without one, a phases-only first
+    solve at ``FIRST_POLE`` finds the widest gap and the pole goes to its
+    middle.  When the computed spectrum comes within ``POLE_CLEARANCE``
+    (chord) of a given pole, as it can when that gap is narrow or closed, the
+    pole moves once to the middle of the widest empty arc of the computed
+    phases and ``W`` is solved again.
+    """
+    if pole is None:
+        return _cayley_spectrum(W, _widest_gap_centre(_cayley_spectrum(W, FIRST_POLE)[0]), psi)
+    phases, weights = _cayley_spectrum(W, pole, psi)
+    if np.abs(np.exp(1j * phases) - np.exp(1j * pole)).min() < POLE_CLEARANCE:
+        phases, weights = _cayley_spectrum(W, _widest_gap_centre(phases), psi)
+    return phases, weights

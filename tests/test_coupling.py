@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiwalk.coupling import (MAX_HORIZON, CouplingError, CouplingSpec, Window,
                                 build_contraction, coupling_exponential,
                                 decay_certificate, moller_sample_block,
                                 one_step_joint_operator, spectral_radius)
 from fermiwalk.environment import EnvironmentSpec, SymbolFunction
-from fermiwalk.walk import (build_cycle_walk, cycle_star_vector, is_cyclic,
+from fermiwalk.walk import (build_cycle_walk, cycle_star_vector, hadamard_coin, is_cyclic,
                             random_coin, rotation_coin)
 
 
@@ -62,17 +64,60 @@ class TestContraction:
             assert np.abs(M - dense).max() <= 8 * d * np.finfo(float).eps
 
 
+def dense_spr(M):
+    """The reference: largest eigenvalue modulus from a dense non-Hermitian eigensolve."""
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
+def random_star(d, rng):
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return psi / np.linalg.norm(psi)
+
+
 class TestSpectralRadius:
     def test_unitary_alphas(self):
         W, psi = rotation_walk()
         for alpha in (0.0, np.pi):
             M = build_contraction(W, psi, alpha).matrix
-            assert spectral_radius(M) == pytest.approx(1.0, abs=1e-12)
+            assert spectral_radius(W, psi, alpha) == pytest.approx(1.0, abs=1e-12)
+            assert dense_spr(M) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_walk_keeps_radius_one(self):
         psi = np.array([1.0, 0, 0, 0])
-        M = build_contraction(np.eye(4), psi, np.pi / 3).matrix
-        assert spectral_radius(M) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_radius(np.eye(4), psi, np.pi / 3) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, np.pi / 2, 2.0, np.pi])
+    def test_exact_cases_on_the_circle(self, alpha):
+        # the Hadamard ring of 4 leaves psi* non-cyclic, the identity walk
+        # has one eigenvalue, and alpha in {0, pi} leaves M unitary: in
+        # each case a root of the secular equation sits on the unit circle
+        W = build_cycle_walk(4, [hadamard_coin()] * 4)
+        psi = cycle_star_vector(4)
+        assert not is_cyclic(W, psi)[0]
+        assert spectral_radius(W, psi, alpha) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_radius(np.eye(8), psi, alpha) == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(int(10 * alpha))
+        U = random_coin(8, rng)
+        for edge in (0.0, np.pi):
+            assert spectral_radius(U, random_star(8, rng), edge) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 48), seed=st.integers(0, 2 ** 32 - 1),
+           alpha=st.floats(0.0, np.pi), ring=st.booleans(), star=st.booleans())
+    def test_matches_dense_eigvals(self, d, seed, alpha, ring, star):
+        # Haar walks or random rings, the default or a random psi*; the
+        # error of 1 - spr scales with d eps
+        rng = np.random.default_rng(seed)
+        if ring:
+            n = max(2, d // 2)
+            W = build_cycle_walk(n, [random_coin(2, rng) for _ in range(n)])
+            d = 2 * n
+        else:
+            W = random_coin(d, rng)
+        psi = random_star(d, rng) if star or not ring else cycle_star_vector(d // 2)
+        c = build_contraction(W, psi, alpha)
+        gap, ref = 1.0 - c.spectral_radius, 1.0 - dense_spr(c.matrix)
+        assert abs(gap - ref) <= 64 * d * np.finfo(float).eps
 
     def test_cyclic_instance_contracts(self):
         W, psi = rotation_walk()
@@ -128,10 +173,14 @@ class TestDecayCertificate:
             assert (norms <= c.power_norm_bound(t) * (1 + 1e-12)).all()
 
     def test_certificate_computes_spr_when_not_given(self):
+        # without spr the radius comes from a dense eigensolve of M; the
+        # contraction's radius comes from the secular equation, which agrees
+        # with it to round-off
         W, psi = rotation_walk()
         c = build_contraction(W, psi, 1.0)
         C, q = decay_certificate(c.matrix)
-        assert (C, q) == c.certificate
+        assert (C, q) == decay_certificate(c.matrix, dense_spr(c.matrix))
+        assert (C, q) == pytest.approx(c.certificate, rel=1e-10)
         assert C >= 1.0 and c.spectral_radius <= q < 1.0
 
     def test_truncation_horizon(self):

@@ -660,6 +660,23 @@ class TestFockOracle:
                 expected = first[nu] * first[up] - (np.abs(sub) ** 2).sum()
                 assert second[nu, up] == pytest.approx(expected, abs=1e-12)
 
+    def test_vertex_moments_ignore_the_phase_of_the_star_vector(self):
+        # psi* = e^{i phi} e_0 is the same coupling up to a phase of one
+        # sample mode, so the vertex occupation moments agree with e_0's
+        env = env_m1()
+        W, psi = rotation_walk((0.5, 1.1))
+
+        def moments(star):
+            oracle = FockOracle(env, W, CouplingSpec(0.9, np.array([1.0]), star),
+                                Window(-2, 1, 1))
+            return oracle.step(3).sample_occupation_moments()
+
+        first, second = moments(psi)
+        for phase in (1j, -1.0):
+            f, s = moments(phase * psi)
+            assert np.abs(f - first).max() <= 1e-12
+            assert np.abs(s - second).max() <= 1e-12
+
     def test_refuses_oversized_windows(self):
         env = env_m1()
         W, psi = rotation_walk()

@@ -4,7 +4,7 @@ import pytest
 from fermiwalk.walk import (WalkError, WalkSpec, build_cycle_walk,
                             build_regular_graph_walk, cycle_index,
                             cycle_star_vector, hadamard_coin, is_cyclic,
-                            random_coin, rotation_coin)
+                            random_coin, rotation_coin, unitary_spectrum)
 
 
 def k4_coloring():
@@ -197,3 +197,25 @@ def test_regular_graph_non_unitary_coin_names_the_culprit():
     coins[3] = np.eye(2)
     with pytest.raises(WalkError, match="coin 3 must be 3x3"):
         build_regular_graph_walk(4, 3, k4_coloring(), coins)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 40])
+@pytest.mark.parametrize("pole", [None, 0.3])
+def test_unitary_spectrum_matches_dense_eigendecomposition(d, pole):
+    # Haar walks have simple eigenvalues, so the dense eigenvectors are an
+    # orthonormal basis and the weights |<x_k, psi>|^2 are well defined
+    rng = np.random.default_rng(d)
+    W = random_coin(d, rng)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    evals, X = np.linalg.eig(W)
+    ref_phases = np.angle(evals) % (2 * np.pi)
+    order = np.argsort(ref_phases)
+    phases, weights = unitary_spectrum(W, psi, pole)
+    assert unitary_spectrum(W, pole=pole)[1] is None
+    assert np.abs(np.sort(unitary_spectrum(W, pole=pole)[0]) - ref_phases[order]).max() <= 1e-12
+    mine = np.argsort(phases)
+    assert np.abs(phases[mine] - ref_phases[order]).max() <= 1e-12
+    ref_weights = np.abs(X.conj().T @ psi) ** 2
+    assert np.abs(weights[mine] - ref_weights[order]).max() <= 1e-12
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
