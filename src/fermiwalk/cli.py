@@ -338,6 +338,7 @@ def _cmd_averaged_density(cfg, outdir, seed, threads):
         "discrepancy": res.discrepancy,
         "combined_stderr": res.combined_stderr,
         "skipped_samples": res.skipped,
+        "skipped_gaps": res.skipped_gaps,
     }
     payload = _result_payload(cfg, "averaged_density", seed, threads, results)
     _write_result(outdir, "averaged_density.json", payload)

@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .environment import EnvironmentSpec
-from .walk import check_unitary, unitary_spectrum
+from .walk import check_unitary, chiral_spectrum
 
 __all__ = [
     "CouplingError",
@@ -175,13 +175,22 @@ def spectral_radius(W: np.ndarray, psi_star: np.ndarray, alpha: float,
                     pole: float | None = None) -> float:
     """``spr(M)`` for ``M = W (1 + (cos alpha - 1) P)``, from the secular equation.
 
-    :func:`~fermiwalk.walk.unitary_spectrum` (``pole`` as there) gives the
-    ``lambda_k`` and ``w_k``, and :func:`_secular_gap` the roots.
-    ``cos alpha - 1`` is taken as ``-2 sin^2(alpha/2)``, without
-    cancellation at small ``alpha``.
+    :func:`~fermiwalk.walk.chiral_spectrum` (``pole`` as in
+    :func:`~fermiwalk.walk.unitary_spectrum`) gives the ``lambda_k`` and
+    ``w_k``, and :func:`_secular_gap` the roots.  ``cos alpha - 1`` is
+    taken as ``-2 sin^2(alpha/2)``, without cancellation at small ``alpha``.
+    When ``W`` swaps two halves ``P``, ``Q`` of the basis and ``psi*`` lies
+    in ``P``, ``M^2`` is block diagonal with the ``P`` block
+    ``XY (1 + c P_P)``, so the secular equation of ``XY`` gives the gap
+    ``g = 1 - spr(M)^2`` and ``spr(M) = 1 - g / (1 + sqrt(1 - g))``, which
+    keeps ``1 - spr`` as accurate as ``g``.
     """
-    phases, weights = unitary_spectrum(W, psi_star, pole)
-    return 1.0 - _secular_gap(phases, weights, -2.0 * np.sin(0.5 * alpha) ** 2)
+    phases, weights, squared = chiral_spectrum(W, psi_star, pole)
+    gap = _secular_gap(phases, weights, -2.0 * np.sin(0.5 * alpha) ** 2)
+    if not squared:
+        return 1.0 - gap
+    # spr(M)^2 = 1 - gap >= 0 may round below 0 when the roots sit at the origin
+    return float(1.0 - gap / (1.0 + np.sqrt(max(1.0 - gap, 0.0))))
 
 
 def _secular_gap(phases: np.ndarray, weights: np.ndarray, c: float) -> float:
@@ -190,27 +199,40 @@ def _secular_gap(phases: np.ndarray, weights: np.ndarray, c: float) -> float:
     With ``lambda_k = e^{i phases[k]}`` these are the eigenvalues of
     ``W (1 + cP)``: ``det(z - M) = det(z - W) f(z)``.  For ``c = 0``, a zero
     weight or a repeated ``lambda_k`` a root sits exactly on the unit circle
-    and the gap is 0 (a subnormal ``c w_k`` counts as zero).  Otherwise
-    Aberth-Ehrlich sweeps on ``det(z - W) f(z)`` (Bini & Robol, *J. Comput.
-    Appl. Math.* 272, 2014) find all ``d`` roots at once, O(d^2) per sweep:
-    the step at ``z_i`` is ``f / (f' + f (sum_k 1/(z_i - lambda_k) -
-    sum_{j != i} 1/(z_i - z_j)))``.  Root ``i`` starts at the first-order
-    ``lambda_i (1 + c w_i)`` and is stored as ``lambda_i + delta_i``, so
+    and the gap is 0 (a subnormal ``c w_k`` counts as zero, and phases
+    within ``4 d eps`` of each other, the spread that the eigensolver leaves
+    on a repeated eigenvalue, count as repeated).  Otherwise Aberth-Ehrlich
+    sweeps on ``det(z - W) f(z)`` (Bini & Robol, *J. Comput. Appl. Math.*
+    272, 2014) find all ``d`` roots at once, O(d^2) per sweep: the step at
+    ``z_i`` is ``f / (f' + f (sum_k 1/(z_i - lambda_k) - sum_{j != i}
+    1/(z_i - z_j)))``.  Root ``i`` is stored as ``lambda_i + delta_i``, so
     that ``1 - |z_i|`` keeps its relative accuracy next to the circle.  It
-    leaves the sweeps once ``|f(z_i)|`` is at the round-off level of its
-    terms or its step no longer moves it.
+    starts at the first-order ``delta_i = c w_i lambda_i``, turned by the
+    second-order ``i (c w_i)^2 lambda_i``: without that turn a real problem
+    starts in conjugate pairs, which the sweeps keep, and a pair cannot
+    reach two real roots (a 2 x 2 real ``W`` at ``c`` near -2 has both
+    first-order starts at the origin and its roots at +-1).  A root leaves
+    the sweeps once ``|f(z_i)|`` is at the round-off level of its terms or
+    its step no longer moves it.  The sweeps end after one in which every
+    step was below ``eps^(1/3) |delta_i|``: the error of an Aberth step is
+    about ``e_i^2 sum_j e_j / |z_i - z_j|``, so the next steps would be at
+    round-off.  (The same test root by root stops a root while others still
+    move, whose errors then keep its own above round-off.)
     """
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     d = len(phases)
+    ordered = np.sort(phases)
+    spacing = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
+    cw = c * weights
+    # 1 / delta_k would overflow for a subnormal c w_k
+    if np.abs(cw).min() < tiny or spacing.min() <= 4.0 * d * eps:
+        return 0.0
     lam = np.exp(1j * phases)
     D = lam[:, None] - lam                       # lambda_i - lambda_k
-    u = c * weights * lam
-    # 1 / delta_k would overflow for a subnormal c w_k
-    if np.abs(u).min() < tiny or np.count_nonzero(D) < d * (d - 1):
-        return 0.0
+    u = cw * lam
     noise = 4.0 * eps * np.abs(u)
     ones = np.ones(d)
-    delta = u.copy()
+    delta = u * (1.0 + 1j * cw)
     active = rows = np.arange(d)
     for _ in range(MAX_SWEEPS):
         da = delta[active]
@@ -223,9 +245,11 @@ def _secular_gap(phases: np.ndarray, weights: np.ndarray, c: float) -> float:
         Z = A - delta                            # z_i - z_j
         Z[rows[:active.size], active] = np.inf
         step = f / ((R * u * R) @ ones + f * ((R - 1.0 / Z) @ ones))
-        done = settled | (np.abs(step) <= eps * np.abs(da))
-        delta[active] = np.where(done, da, da - step)
-        active = active[~done]
+        delta[active] = np.where(settled, da, da - step)
+        size, scale = np.abs(step), np.abs(da)
+        if (size <= eps ** (1.0 / 3.0) * scale).all():
+            break
+        active = active[~(settled | (size <= eps * scale))]
         if not active.size:
             break
     else:

@@ -244,6 +244,7 @@ class AveragedDensityResult:
     dos_stderr: float
     samples: int
     skipped: list = field(default_factory=list)
+    skipped_gaps: list = field(default_factory=list)
 
     @property
     def combined_stderr(self) -> float:
@@ -285,18 +286,21 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
     Estimator B: ``(1/n) sum_eigenphases 2 Re F(e^{i theta})`` over the walk
     spectra of an independent set of draws (the density-of-states integral),
     which is ``(2/n) Re tr F(W)`` for unitary ``W``: no eigensolve is needed.
-    Draws whose contraction fails ``spr(M) < 1`` are skipped and reported.
+    Draws whose contraction fails the ``spr(M) < 1`` gate are skipped and
+    reported: their indices in ``skipped``, their ``1 - spr(M)`` in
+    ``skipped_gaps``.
     """
     if samples < 2:
         raise WalkError("need at least two samples for standard errors")
     psi = cycle_star_vector(model.n)
 
     def trace_value(index: int):
+        """The trace estimate of one draw, or ``None`` and its ``1 - spr`` if skipped."""
         W = sample_disordered_walk(model, index)
         contraction = build_contraction(W, psi, alpha, pole=-model.theta0)
         if not contraction.contractive:
-            return None
-        return _trace_density(F, contraction.matrix)
+            return None, 1.0 - contraction.spectral_radius
+        return _trace_density(F, contraction.matrix), None
 
     def dos_value(index: int):
         return _trace_density(F, sample_disordered_walk(model, samples + index))
@@ -308,8 +312,8 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
     else:
         trace_vals = [trace_value(i) for i in range(samples)]
         dos_vals = [dos_value(i) for i in range(samples)]
-    skipped = [i for i, v in enumerate(trace_vals) if v is None]
-    kept = np.array([v for v in trace_vals if v is not None])
+    skipped = [i for i, (v, _) in enumerate(trace_vals) if v is None]
+    kept = np.array([v for v, _ in trace_vals if v is not None])
     if len(kept) < 2:
         raise CouplingError("too few contractive samples for the trace estimator")
     dos_arr = np.array(dos_vals)
@@ -320,4 +324,5 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
         dos_stderr=float(dos_arr.std(ddof=1) / np.sqrt(samples)),
         samples=samples,
         skipped=skipped,
+        skipped_gaps=[trace_vals[i][1] for i in skipped],
     )

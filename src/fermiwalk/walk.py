@@ -13,7 +13,13 @@ internal-minor.  For cycles the flat index of ``delta_nu (x) e_tau`` is
 :func:`unitary_spectrum` is the one eigensolver for walk unitaries: a
 Hermitian eigensolve of the Cayley transform, which gives the eigenphases
 and, on request, the weights ``|<x_k, psi>|^2`` of a vector on the
-eigenvectors.
+eigenvectors.  A walk that swaps two halves ``P``, ``Q`` of the basis, as
+every coined walk on an even ring does (even and odd vertices), is solved
+at half size: :func:`chiral_square` finds the halves and forms
+``XY = W[P, Q] W[Q, P]``, since ``W^2 = diag(XY, YX)``, and the eigenvalues
+of ``W`` are ``+-sqrt(mu)`` over those ``mu`` of ``XY``.  This is the
+chiral symmetry ``Gamma W Gamma = -W`` of coined walks written as CMV
+matrices (Cantero, Grunbaum, Moral & Velazquez, *CPAM* 63, 2010).
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ __all__ = [
     "is_cyclic",
     "check_unitary",
     "unitary_spectrum",
+    "chiral_square",
+    "chiral_spectrum",
     "householder_vector",
 ]
 
@@ -360,6 +368,75 @@ def _widest_gap_centre(phases: np.ndarray) -> float:
     return float(ordered[k] + 0.5 * gaps[k])
 
 
+def chiral_square(W: np.ndarray, psi: np.ndarray | None = None):
+    """``(XY, psi_P)`` when ``W`` swaps two halves ``P``, ``Q`` of the basis, else ``None``.
+
+    The support of ``W`` is two-coloured by a breadth-first search from
+    index 0 along the nonzero entries of each row, which meets every nonzero
+    entry of the rows it reaches.  The colouring counts only if it covers
+    every index, ``|P| = |Q|`` and no nonzero entry joins two indices of one
+    colour; then ``W = [[0, X], [Y, 0]]`` in the order ``(P, Q)``, ``W^2 =
+    diag(XY, YX)`` and ``XY = W[P, Q] W[Q, P]`` is unitary.  A given ``psi``
+    must vanish on one part, which becomes ``P`` (``None`` if it touches
+    both), and ``psi_P`` is its restriction; without ``psi``, ``P`` holds
+    index 0.  (The support of a unitary is a union of permutations, so the
+    search reaches every index joined to 0 by nonzero entries.)
+    """
+    d = W.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(W != 0), d)
+    starts = np.searchsorted(rows, np.arange(d + 1)).tolist()
+    cols = cols.tolist()
+    part = [-1] * d
+    part[0] = 0
+    frontier = [0]
+    while frontier:
+        reached = []
+        for v in frontier:
+            for u in cols[starts[v]:starts[v + 1]]:
+                if part[u] < 0:
+                    part[u] = 1 - part[v]
+                    reached.append(u)
+                elif part[u] == part[v]:
+                    return None
+        frontier = reached
+    part = np.array(part)
+    P, Q = np.flatnonzero(part == 0), np.flatnonzero(part == 1)
+    if 2 * P.size != d or 2 * Q.size != d:
+        return None
+    if psi is not None and psi[Q].any():
+        if psi[P].any():
+            return None
+        P, Q = Q, P
+    return W[P][:, Q] @ W[Q][:, P], None if psi is None else psi[P]
+
+
+def _pole_spectrum(W: np.ndarray, psi: np.ndarray | None,
+                   pole: float | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_cayley_spectrum` at ``pole`` (re-centred once if needed), or at the widest gap."""
+    if pole is None:
+        return _cayley_spectrum(W, _widest_gap_centre(_cayley_spectrum(W, FIRST_POLE)[0]), psi)
+    phases, weights = _cayley_spectrum(W, pole, psi)
+    if np.abs(np.exp(1j * phases) - np.exp(1j * pole)).min() < POLE_CLEARANCE:
+        phases, weights = _cayley_spectrum(W, _widest_gap_centre(phases), psi)
+    return phases, weights
+
+
+def chiral_spectrum(W: np.ndarray, psi: np.ndarray | None = None,
+                    pole: float | None = None) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """``(phases, weights, squared)``: the spectrum :func:`unitary_spectrum` derives W's from.
+
+    When :func:`chiral_square` reduces ``W`` (``squared`` true) these are the
+    eigenphases of ``XY`` and the weights of ``psi_P`` on its eigenvectors,
+    solved at the pole ``2 pole``: both gaps of ``W`` at ``+-e^{i pole}``
+    map onto the one gap of ``XY`` at ``e^{2i pole}``.  Otherwise they are
+    those of ``W`` itself.
+    """
+    square = chiral_square(W, psi)
+    if square is None:
+        return (*_pole_spectrum(W, psi, pole), False)
+    return (*_pole_spectrum(*square, None if pole is None else 2.0 * pole), True)
+
+
 def unitary_spectrum(W: np.ndarray, psi: np.ndarray | None = None,
                      pole: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenphases in ``[0, 2 pi)`` of the unitary ``W`` and, given ``psi``, its weights.
@@ -372,11 +449,15 @@ def unitary_spectrum(W: np.ndarray, psi: np.ndarray | None = None,
     middle.  When the computed spectrum comes within ``POLE_CLEARANCE``
     (chord) of a given pole, as it can when that gap is narrow or closed, the
     pole moves once to the middle of the widest empty arc of the computed
-    phases and ``W`` is solved again.
+    phases and the matrix is solved again.
+
+    A bipartite ``W`` is solved at half size (:func:`chiral_spectrum`): an
+    eigenpair ``(e^{i phi}, u)`` of ``XY`` gives the eigenvalues
+    ``+-e^{i phi/2}`` of ``W``, with eigenvectors ``(u, +-e^{-i phi/2} Y u)
+    / sqrt 2``, so each weight ``w`` of ``psi_P`` becomes ``w/2`` twice.
     """
-    if pole is None:
-        return _cayley_spectrum(W, _widest_gap_centre(_cayley_spectrum(W, FIRST_POLE)[0]), psi)
-    phases, weights = _cayley_spectrum(W, pole, psi)
-    if np.abs(np.exp(1j * phases) - np.exp(1j * pole)).min() < POLE_CLEARANCE:
-        phases, weights = _cayley_spectrum(W, _widest_gap_centre(phases), psi)
-    return phases, weights
+    phases, weights, squared = chiral_spectrum(W, psi, pole)
+    if not squared:
+        return phases, weights
+    half = 0.5 * phases
+    return np.concatenate((half, half + np.pi)), None if weights is None else np.tile(0.5 * weights, 2)

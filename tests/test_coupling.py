@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fermiwalk.coupling import (MAX_HORIZON, CouplingError, CouplingSpec, Window,
+from fermiwalk.coupling import (MAX_HORIZON, SPR_MAX, CouplingError, CouplingSpec, Window,
                                 build_contraction, coupling_exponential,
                                 decay_certificate, moller_sample_block,
                                 one_step_joint_operator, spectral_radius)
-from fermiwalk.environment import EnvironmentSpec, SymbolFunction
-from fermiwalk.walk import (build_cycle_walk, cycle_star_vector, hadamard_coin, is_cyclic,
-                            random_coin, rotation_coin)
+from fermiwalk.asymptotics import asymptotic_symbol
+from fermiwalk.environment import EnvironmentSpec, SymbolFunction, build_truncated_symbol
+from fermiwalk.walk import (build_cycle_walk, chiral_square, cycle_star_vector, hadamard_coin,
+                            is_cyclic, random_coin, rotation_coin, unitary_spectrum)
 
 
 def rotation_walk(n=4, thetas=(0.3, 0.8, 1.2, 0.5)):
@@ -118,6 +119,72 @@ class TestSpectralRadius:
         c = build_contraction(W, psi, alpha)
         gap, ref = 1.0 - c.spectral_radius, 1.0 - dense_spr(c.matrix)
         assert abs(gap - ref) <= 64 * d * np.finfo(float).eps
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+           alpha=st.floats(0.0, np.pi), rotation=st.booleans(),
+           star=st.sampled_from(["P", "Q", "both"]))
+    def test_chiral_square_matches_dense(self, n, seed, alpha, rotation, star):
+        # even rings of random or rotation coins; psi* on the even vertices
+        # (the part of index 0), on the odd ones, or on both, which leaves W
+        # to the full solve
+        rng = np.random.default_rng(seed)
+        d = 4 * n
+        if rotation:
+            coins = [rotation_coin(t) for t in rng.uniform(0, 2 * np.pi, 2 * n)]
+        else:
+            coins = [random_coin(2, rng) for _ in range(2 * n)]
+        W = build_cycle_walk(2 * n, coins)
+        psi = random_star(d, rng)
+        odd = (np.arange(d) // 2) % 2 == 1
+        if star != "both":
+            psi[odd == (star == "P")] = 0.0
+            psi /= np.linalg.norm(psi)
+        assert (chiral_square(W, psi) is None) == (star == "both")
+        phases, weights = unitary_spectrum(W, psi)
+        ref = np.sort(np.angle(np.linalg.eigvals(W)) % (2 * np.pi))
+        assert np.abs(np.sort(phases) - ref).max() <= 1e-12
+        # the weights through the moments sum_k w_k e^{i j phi_k} =
+        # <psi, W^j psi> of the spectral measure: rotation rings have
+        # eigenvalue pairs 1e-5 apart, on which the weights of a dense
+        # eigendecomposition are off by 1e-12
+        moment = psi
+        for j in range(d):
+            assert abs(weights @ np.exp(1j * j * phases) - np.vdot(psi, moment)) <= 1e-12
+            moment = W @ moment
+        c = build_contraction(W, psi, alpha)
+        gap, ref = 1.0 - c.spectral_radius, 1.0 - dense_spr(c.matrix)
+        assert abs(gap - ref) <= 64 * d * np.finfo(float).eps
+
+    def test_swap_walk_is_nilpotent_at_a_right_angle(self):
+        # M = [[0, 1], [1 + c, 0]]: spr(M) = sqrt|1 + c|, and c = -2 sin^2(pi/4)
+        # is -1 to within a rounding
+        W = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        psi = np.array([1.0, 0.0], dtype=complex)
+        assert chiral_square(W, psi)[0].shape == (1, 1)
+        assert spectral_radius(W, psi, np.pi / 2) <= 2.0 * np.sqrt(np.finfo(float).eps)
+        assert spectral_radius(W, psi, 0.3) == pytest.approx(np.cos(0.3) ** 0.5, abs=1e-15)
+
+    def test_real_two_by_two_near_a_reflection(self):
+        # the reduced problem of a homogeneous 2-ring of rotation coins is
+        # real with weights (1/2, 1/2): first-order starts at c = -2 meet at
+        # the origin, while the roots sit near +-1
+        W = build_cycle_walk(2, [rotation_coin(0.785)] * 2)
+        psi = cycle_star_vector(2)
+        for alpha in (np.pi - 1e-6, np.pi - 1e-3, 2.9, np.pi):
+            M = build_contraction(W, psi, alpha).matrix
+            assert 1.0 - spectral_radius(W, psi, alpha) == pytest.approx(
+                1.0 - dense_spr(M), abs=64 * 4 * np.finfo(float).eps)
+
+    def test_equal_coins_are_never_contractive(self):
+        # momentum sectors k and -k of a homogeneous ring share eigenvalues,
+        # so no psi* is cyclic; the eigensolver leaves such a pair about
+        # d eps apart, which must still count as repeated
+        for n in range(3, 9):
+            for theta in np.linspace(0.05, 1.5, 30):
+                W = build_cycle_walk(n, [rotation_coin(theta)] * n)
+                for alpha in (0.2, 1.4, 2.6):
+                    assert spectral_radius(W, cycle_star_vector(n), alpha) >= SPR_MAX
 
     def test_cyclic_instance_contracts(self):
         W, psi = rotation_walk()
@@ -281,6 +348,26 @@ class TestJointOperator:
         assert np.abs(K - expected).max() <= 1e-14
 
 
+def banded_quadratic_form(env, A, window):
+    """``A* Sigma_w A`` and the bound ``sum_l ||B_l||`` on ``||Sigma_w||``, without forming ``Sigma_w``.
+
+    ``Sigma_w`` is block-Toeplitz with the band ``Sigma_w[k, k - l] = B_l``,
+    ``B_l = sum_i <delta_l (x) x_i, Sigma delta_0 (x) x_i> pi_i``, as in
+    :func:`build_truncated_symbol`.
+    """
+    n_sites, m, d = window.n_sites, env.m, A.shape[1]
+    blocks = A.reshape(n_sites, m, d)
+    sites = np.arange(n_sites)
+    form = np.zeros((d, d), dtype=complex)
+    norm = 0.0
+    for ell in range(-env.max_degree, env.max_degree + 1):
+        B = sum(env.lattice_coefficient(i, ell) * env.projector(i) for i in range(m))
+        rows = sites[max(0, ell):n_sites + min(0, ell)]
+        form += np.einsum("kia,ij,kjb->ab", blocks[rows].conj(), B, blocks[rows - ell])
+        norm += np.linalg.norm(B, 2)
+    return form, norm
+
+
 class TestMollerBlock:
     def test_first_term(self):
         env = env_m1()
@@ -303,6 +390,52 @@ class TestMollerBlock:
             block = A[off:off + 1, :]
             bound = abs(np.sin(0.9)) * contraction.power_norm_bound(tp)
             assert np.linalg.norm(block, 2) <= bound * (1 + 1e-12)
+
+    def test_banded_form_equals_dense_section(self):
+        env = EnvironmentSpec(np.diag([1.0, np.exp(0.7j)]),
+                              [SymbolFunction((0.5, 0.1, 0.05)), SymbolFunction((0.3, 0.0, 0.0, 0.1j))])
+        W, psi = rotation_walk()
+        coup = CouplingSpec(0.9, np.array([0.6, 0.8]), psi)
+        A, window = moller_sample_block(env, W, coup, t_max=12)
+        sigma_w = build_truncated_symbol(env, (window.a, window.b))
+        form, norm = banded_quadratic_form(env, A, window)
+        assert np.abs(form - A.conj().T @ sigma_w @ A).max() <= 1e-15
+        assert np.linalg.norm(sigma_w, 2) <= norm
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 8), m=st.integers(1, 2),
+           degree=st.integers(0, 3), alpha=st.floats(0.3, np.pi - 0.3), ring=st.booleans())
+    def test_moller_identity(self, seed, d, m, degree, alpha, ring):
+        # A* Sigma_w A = Delta on Haar walks or rings with a random psi*, a
+        # Haar U, random valid symbols and a random v; no sample symbol
+        # enters, since the Moller column has no sample block.  The tail
+        # beyond the horizon T moves A by at most |sin alpha| C q^(T+1)/(1-q)
+        # (||A|| <= 1), and round-off grows with the sum C / (1 - q).
+        rng = np.random.default_rng(seed)
+        if ring and d >= 4:
+            d -= d % 2
+            W = build_cycle_walk(d // 2, [random_coin(2, rng) for _ in range(d // 2)])
+        else:
+            W = random_coin(d, rng)
+        psi = random_star(d, rng)
+        symbols = []
+        for _ in range(m):
+            c0 = rng.uniform(0.2, 0.8)
+            tail = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+            if degree:
+                # sum |c(l)| <= min(c0, 1 - c0) / 2 keeps 0 <= 2 Re F <= 1
+                tail *= rng.uniform() * min(c0, 1.0 - c0) / (2.0 * np.abs(tail).sum())
+            symbols.append(SymbolFunction((c0, *tail)))
+        env = EnvironmentSpec(random_coin(m, rng), symbols)
+        coup = CouplingSpec(alpha, random_star(m, rng), psi)
+        C, q = build_contraction(W, psi, alpha).certificate
+        assume(q < 0.99)                       # horizons up to about 3,500 steps
+        A, window = moller_sample_block(env, W, coup)
+        form, sigma_norm = banded_quadratic_form(env, A, window)
+        T = window.n_sites - 2
+        tail = C * q ** (T + 1) / (1.0 - q)
+        tol = sigma_norm * (2.0 * tail + tail ** 2 + 64 * d * np.finfo(float).eps * C / (1.0 - q))
+        assert np.linalg.norm(form - asymptotic_symbol(env, W, coup).delta) <= tol
 
     def test_requires_contraction(self):
         env = env_m1()

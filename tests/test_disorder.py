@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermiwalk.coupling import build_contraction
+from fermiwalk import walk
+from fermiwalk.coupling import SPR_MAX, build_contraction
 from fermiwalk.disorder import (AveragedDensityResult, DisorderModel,
                                 _eigenphases, _trace_density,
                                 averaged_density, density_of_states,
@@ -180,13 +181,22 @@ class TestEigenphases:
         assert model.gap_halfwidth < 0
         assert circle_deviation(_eigenphases(W, model), eigenphases(W)) <= 1e-12
 
-    def test_gap_contains_the_pole(self):
-        m = DisorderModel(t=T, r=R, n=64, distribution="uniform",
-                          theta0=0.7, halfwidth=0.05, seed=1)
-        assert m.gap_halfwidth == pytest.approx(np.arccos(T) - 0.05)
-        phases = _eigenphases(sample_disordered_walk(m, 0), m)
-        dist = np.abs(np.angle(np.exp(1j * (phases + m.theta0))))
-        assert dist.min() >= m.gap_halfwidth
+    def test_gap_contains_the_pole(self, monkeypatch):
+        # the ring is solved through its chiral square, whose one gap at
+        # e^{-2i theta0} holds the doubled pole: a single Cayley solve
+        solves = []
+        cayley = walk._cayley_spectrum
+        monkeypatch.setattr(walk, "_cayley_spectrum",
+                            lambda W, *args: solves.append(W.shape[0]) or cayley(W, *args))
+        for theta0 in (0.7, 2.5):
+            m = DisorderModel(t=T, r=R, n=64, distribution="uniform",
+                              theta0=theta0, halfwidth=0.05, seed=1)
+            assert m.gap_halfwidth == pytest.approx(np.arccos(T) - 0.05)
+            solves.clear()
+            phases = _eigenphases(sample_disordered_walk(m, 0), m)
+            assert solves == [64]
+            dist = np.abs(np.angle(np.exp(1j * (phases + m.theta0))))
+            assert dist.min() >= m.gap_halfwidth
 
 
 class TestDensityOfStates:
@@ -265,6 +275,20 @@ class TestAveragedDensity:
         res = averaged_density(m, F, alpha=0.5, samples=4)
         assert res.trace_mean == pytest.approx(0.8, abs=1e-12)
         assert res.dos_mean == pytest.approx(0.8, abs=1e-12)
+
+    def test_skipped_draws_report_their_gap(self):
+        # phases at one of two values: a draw with all phases equal is a
+        # homogeneous ring, whose psi* is not cyclic, so spr(M) = 1
+        model = DisorderModel(t=T, r=R, n=4, distribution="custom", theta0=0.45,
+                              halfwidth=0.05, seed=2,
+                              inverse_cdf=lambda u: 0.4 + 0.1 * (np.asarray(u) > 0.9))
+        res = averaged_density(model, SymbolFunction((0.5, 0.0, 0.125)), alpha=0.3, samples=8)
+        assert res.skipped == [0, 2]
+        psi = cycle_star_vector(4)
+        for index, gap in zip(res.skipped, res.skipped_gaps, strict=True):
+            W = sample_disordered_walk(model, index)
+            spr = build_contraction(W, psi, 0.3, pole=-model.theta0).spectral_radius
+            assert gap == 1.0 - spr and gap < 1.0 - SPR_MAX
 
     def test_two_estimators_agree(self):
         m = DisorderModel(t=T, r=R, n=96, distribution="uniform",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fermiwalk.walk import (WalkError, WalkSpec, build_cycle_walk,
-                            build_regular_graph_walk, cycle_index,
+                            build_regular_graph_walk, chiral_square, cycle_index,
                             cycle_star_vector, hadamard_coin, is_cyclic,
                             random_coin, rotation_coin, unitary_spectrum)
 
@@ -199,15 +199,33 @@ def test_regular_graph_non_unitary_coin_names_the_culprit():
         build_regular_graph_walk(4, 3, k4_coloring(), coins)
 
 
-@pytest.mark.parametrize("d", [1, 2, 7, 40])
-@pytest.mark.parametrize("pole", [None, 0.3])
-def test_unitary_spectrum_matches_dense_eigendecomposition(d, pole):
-    # Haar walks have simple eigenvalues, so the dense eigenvectors are an
-    # orthonormal basis and the weights |<x_k, psi>|^2 are well defined
+def haar_walk(d):
+    """A Haar walk of dimension ``d`` and a random unit vector."""
     rng = np.random.default_rng(d)
     W = random_coin(d, rng)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    psi /= np.linalg.norm(psi)
+    return W, psi / np.linalg.norm(psi)
+
+
+def even_ring(n):
+    """A ring of ``n`` random coins (``n`` even) and a random unit vector on its even vertices."""
+    rng = np.random.default_rng(n)
+    W = build_cycle_walk(n, [random_coin(2, rng) for _ in range(n)])
+    psi = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    psi[(np.arange(2 * n) // 2) % 2 == 1] = 0.0
+    return W, psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("make, size", [pytest.param(haar_walk, d, id=str(d)) for d in (1, 2, 7, 40)]
+                         + [pytest.param(even_ring, 12, id="ring12")])
+@pytest.mark.parametrize("pole", [None, 0.3])
+def test_unitary_spectrum_matches_dense_eigendecomposition(make, size, pole):
+    # Haar walks and rings of random coins have simple eigenvalues, so the
+    # dense eigenvectors are an orthonormal basis and the weights
+    # |<x_k, psi>|^2 are well defined; the ring is solved through its
+    # chiral square
+    W, psi = make(size)
+    assert (chiral_square(W, psi) is not None) == (make is even_ring)
     evals, X = np.linalg.eig(W)
     ref_phases = np.angle(evals) % (2 * np.pi)
     order = np.argsort(ref_phases)
@@ -219,3 +237,35 @@ def test_unitary_spectrum_matches_dense_eigendecomposition(d, pole):
     ref_weights = np.abs(X.conj().T @ psi) ** 2
     assert np.abs(weights[mine] - ref_weights[order]).max() <= 1e-12
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestChiralSquare:
+    def test_swap_walk_squares_to_one(self):
+        W = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        XY, psi_P = chiral_square(W, np.array([0.0, 1j]))
+        assert XY.shape == (1, 1) and XY[0, 0] == 1.0 and psi_P[0] == 1j
+        phases, weights = unitary_spectrum(W, np.array([1.0, 0.0]))
+        assert np.sort(phases) == pytest.approx([0.0, np.pi], abs=1e-15)
+        assert weights == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    def test_parts_of_an_even_ring(self):
+        # W moves every state to a neighbouring vertex: the parts are the
+        # states at even and at odd vertices, and P is the part of psi
+        rng = np.random.default_rng(3)
+        W = build_cycle_walk(6, [random_coin(2, rng) for _ in range(6)])
+        even = (np.arange(12) // 2) % 2 == 0
+        XY, _ = chiral_square(W)
+        assert np.allclose(XY, (W @ W)[np.ix_(even, even)], atol=1e-14)
+        XY, psi_P = chiral_square(W, cycle_star_vector(6, nu=1))
+        assert np.allclose(XY, (W @ W)[np.ix_(~even, ~even)], atol=1e-14)
+        assert psi_P.tolist() == [1.0, 0, 0, 0, 0, 0]
+
+    def test_odd_ring_haar_walk_and_straddling_psi_take_the_full_solve(self):
+        rng = np.random.default_rng(5)
+        odd = build_cycle_walk(5, [random_coin(2, rng) for _ in range(5)])
+        assert chiral_square(odd) is None
+        assert chiral_square(random_coin(8, rng)) is None
+        even = build_cycle_walk(4, [random_coin(2, rng) for _ in range(4)])
+        assert chiral_square(even, np.full(8, 8 ** -0.5)) is None
+        # identity coins leave two disjoint cycles: no colouring covers both
+        assert chiral_square(build_cycle_walk(4, [np.eye(2)] * 4)) is None
