@@ -64,7 +64,6 @@ def asymptotic_symbol(env: EnvironmentSpec, W: np.ndarray,
     and is not re-checked: ``W`` is unitary and ``1 + (cos alpha - 1) P``
     has singular values 1 and ``|cos alpha|``.
     """
-    coupling.require_coupled()
     contraction = build_contraction(W, coupling.star(), coupling.alpha)
     contraction.require_contractive()
     w = coupling.weights(env)
@@ -207,7 +206,6 @@ def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpe
     error enters.  ``contraction`` is ``M`` for ``(W, coupling)`` if the
     caller has built it already (``AsymptoticState.contraction``).
     """
-    coupling.require_coupled()
     if contraction is None:
         contraction = build_contraction(W, coupling.star(), coupling.alpha)
     contraction.require_contractive()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import stat
 import sys
@@ -26,15 +27,15 @@ from . import __version__
 from .asymptotics import (asymptotic_symbol, flux_expectations,
                           node_correlations, node_profile,
                           particle_number_distribution)
-from .config import (COMMAND_OPTIONS, COMMANDS, ConfigError, ExperimentConfig,
-                     canonical_json, encode_complex_matrix, load_config)
-from .coupling import CouplingError, Window
+from .config import (COMMAND_OPTIONS, COMMAND_SECTIONS, COMMANDS, ConfigError,
+                     ExperimentConfig, canonical_json, encode_complex_matrix, load_config)
+from .coupling import CouplingError, Window, build_contraction, is_cyclic
 from .disorder import (averaged_density, density_of_states,
                        enlarged_band_intervals, exact_band_intervals,
                        phases_in_bands)
 from .environment import ReservoirError, validate_symbol
 from .simulate import CovarianceState, FockOracle
-from .walk import WalkError, is_cyclic
+from .walk import WalkError
 
 __all__ = ["main", "run", "emit_plot_data", "matrix_to_csv"]
 
@@ -102,21 +103,15 @@ def _write_result(outdir: str, name: str, payload: dict) -> str:
     return path
 
 
-def _cycle_vertex_count(cfg: ExperimentConfig) -> int | None:
-    if cfg.walk is not None and cfg.walk.kind == "cycle":
-        return cfg.walk.n
-    return None
-
-
 def _cmd_validate(cfg, outdir, seed, threads):
     report = {}
     ok = True
     if cfg.walk is not None:
         W, psi = cfg.walk.build()
-        cyclic, rank = is_cyclic(W, psi, tol=cfg.options.get("krylov_tol", 1e-10))
+        cyclic, gap = is_cyclic(W, psi)
         unit_dev = float(np.linalg.norm(W.conj().T @ W - np.eye(W.shape[0])))
         report["walk"] = {"dimension": W.shape[0], "unitarity_deviation": unit_dev,
-                          "cyclic": bool(cyclic), "krylov_rank": rank}
+                          "cyclic": bool(cyclic), "cyclic_gap": gap}
         if cfg.options.get("export_matrices"):
             matrix_to_csv(W, os.path.join(outdir, "walk_matrix.csv"))
     if cfg.environment is not None:
@@ -135,13 +130,14 @@ def _cmd_validate(cfg, outdir, seed, threads):
             report["environment"]["violations"] = [
                 {"sector": i, "min": rep.minima[i], "max": rep.maxima[i],
                  "worst_phi": rep.worst_phi[i]} for i in bad]
-    if cfg.coupling_v is not None and cfg.environment is not None and cfg.alpha_values:
+    if cfg.coupling_v is not None and cfg.environment is not None:
         coup = cfg.coupling(cfg.alpha_values[0])
         report["coupling"] = {
             "alpha": coup.alpha,
             "weights": list(map(float, coup.weights(cfg.environment))),
-            "effectively_coupled": coup.effectively_coupled,
         }
+        if cfg.walk is not None:
+            report["coupling"]["contractive"] = build_contraction(W, psi, coup.alpha).contractive
     payload = _result_payload(cfg, "validate", seed, threads, report)
     _write_result(outdir, "validate.json", payload)
     return EXIT_OK if ok else EXIT_VALIDATION
@@ -164,7 +160,7 @@ def _asymptotic_results(cfg):
         "fluxes": [float(x) for x in flux.phi],
         "rates": None if flux.rates is None else [float(x) for x in flux.rates],
     }
-    n = _cycle_vertex_count(cfg)
+    n = cfg.walk.n if cfg.walk.kind == "cycle" else None
     if n is not None:
         results["profile"] = [float(x) for x in node_profile(state)]
         results["correlations"] = [[float(x) for x in row]
@@ -225,7 +221,7 @@ def _cmd_simulate(cfg, outdir, seed, threads):
     window = Window(0, cfg.environment.max_degree, cfg.environment.m)
     cov = CovarianceState(window, cfg.environment, W, coup)
     if "steps" in cfg.options:
-        steps = int(cfg.options["steps"])
+        steps = cfg.options["steps"]
     else:
         steps = cov.relaxation_horizon(1e-9)
     trace_rows = []
@@ -252,12 +248,9 @@ def _cmd_simulate(cfg, outdir, seed, threads):
 def _cmd_oracle_check(cfg, outdir, seed, threads):
     W, _ = cfg.walk.build()
     coup = cfg.coupling()
-    if "window" in cfg.options:
-        a, b = cfg.options["window"]
-        window = Window(int(a), int(b), cfg.environment.m)
-    else:
-        window = Window(-2, 1, cfg.environment.m)
-    steps = int(cfg.options.get("steps", 20))
+    a, b = cfg.options.get("window", (-2, 1))
+    window = Window(a, b, cfg.environment.m)
+    steps = cfg.options.get("steps", 20)
     try:
         FockOracle.check_size(window.env_dim, W.shape[0])
     except CouplingError as exc:
@@ -285,19 +278,13 @@ def _cmd_oracle_check(cfg, outdir, seed, threads):
 
 def _reseeded_model(cfg, seed):
     """An explicit top-level seed (config field or --seed) wins over the model seed."""
-    import dataclasses
-    model = cfg.disorder
-    if model is not None and seed is not None:
-        model = dataclasses.replace(model, seed=int(seed))
-    return model
+    return cfg.disorder if seed is None else dataclasses.replace(cfg.disorder, seed=seed)
 
 
 def _cmd_disorder_dos(cfg, outdir, seed, threads):
     model = _reseeded_model(cfg, seed)
-    if model is None:
-        raise ConfigError("disorder_dos needs a disorder section")
-    samples = int(cfg.options.get("samples", 50))
-    bins = int(cfg.options.get("bins", 512))
+    samples = cfg.options.get("samples", 50)
+    bins = cfg.options.get("bins", 512)
     dos = density_of_states(model, samples, bins=bins, threads=threads)
     intervals = (exact_band_intervals(model) if model.distribution == "point"
                  else enlarged_band_intervals(model))
@@ -322,15 +309,11 @@ def _cmd_disorder_dos(cfg, outdir, seed, threads):
 
 def _cmd_averaged_density(cfg, outdir, seed, threads):
     model = _reseeded_model(cfg, seed)
-    if model is None:
-        raise ConfigError("averaged_density needs a disorder section")
-    if cfg.environment is None or cfg.environment.m != 1:
+    if cfg.environment.m != 1:
         raise ConfigError("averaged_density needs an m = 1 environment")
-    if len(cfg.alpha_values) != 1:
-        raise ConfigError("averaged_density needs a single alpha")
-    samples = int(cfg.options.get("samples", 50))
+    samples = cfg.options.get("samples", 50)
     res = averaged_density(model, cfg.environment.symbol_functions[0],
-                           cfg.alpha_values[0], samples, threads=threads)
+                           cfg.coupling().alpha, samples, threads=threads)
     results = {
         "samples": samples,
         "trace_mean": res.trace_mean, "trace_stderr": res.trace_stderr,
@@ -366,6 +349,11 @@ def run(cfg: ExperimentConfig, command: str | None = None, outdir: str | None = 
     unread = sorted(set(cfg.options) - COMMAND_OPTIONS[command])
     if unread:
         raise ConfigError(f"config.options.{unread[0]}: not read by {command}")
+    missing = [name for name in COMMAND_SECTIONS[command] if name not in cfg.raw]
+    if missing:
+        raise ConfigError(f"config.{missing[0]}: {command} needs the {missing[0]} section")
+    if seed is not None and seed < 0:
+        raise ConfigError("--seed: expected a non-negative integer")
     outdir = outdir or cfg.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
     if seed is None:

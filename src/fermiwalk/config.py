@@ -32,7 +32,7 @@ __all__ = [
 
 # the options each command reads; the runner rejects any other
 COMMAND_OPTIONS = {
-    "validate": frozenset({"krylov_tol", "export_matrices"}),
+    "validate": frozenset({"export_matrices"}),
     "asymptotic": frozenset({"export_matrices"}),
     "flux": frozenset(),
     "profile": frozenset(),
@@ -42,6 +42,10 @@ COMMAND_OPTIONS = {
     "averaged_density": frozenset({"samples"}),
 }
 COMMANDS = tuple(COMMAND_OPTIONS)
+# the config sections each command reads; the runner refuses a config without one
+COMMAND_SECTIONS = dict.fromkeys(COMMANDS, ("walk", "environment", "coupling")) | {
+    "validate": (), "disorder_dos": ("disorder",),
+    "averaged_density": ("disorder", "environment", "coupling")}
 
 
 class ConfigError(ValueError):
@@ -125,6 +129,26 @@ def _check_keys(section: dict, allowed, path: str):
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
 
 
+def _seed(value, path: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer")
+    return value
+
+
+def _check_option(key: str, value):
+    """Refuse an option value that its command cannot run with."""
+    path = f"config.options.{key}"
+    if key == "export_matrices":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true or false")
+    elif key == "window":
+        if not (isinstance(value, list) and len(value) == 2
+                and all(type(x) is int for x in value) and value[0] <= value[1]):
+            raise ConfigError(f"{path}: expected two integers [a, b] with a <= b")
+    elif type(value) is not int or value < 1:   # steps, samples, bins
+        raise ConfigError(f"{path}: expected an integer >= 1")
+
+
 def _complex_scalar(value, path: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -159,7 +183,7 @@ def _parse_coins(section, n: int, dim: int, path: str) -> list:
             raise ConfigError(f"{path}.thetas: need {n} angles")
         return [rotation_coin(float(t)) for t in thetas]
     if kind == "random":
-        rng = np.random.default_rng(int(section.get("seed", 0)))
+        rng = np.random.default_rng(_seed(section.get("seed", 0), f"{path}.seed"))
         return [random_coin(dim, rng) for _ in range(n)]
     if kind == "explicit":
         mats = section.get("matrices")
@@ -247,7 +271,7 @@ def _parse_disorder(section, path="disorder") -> DisorderModel:
         distribution=section.get("distribution", "point"),
         theta0=float(section.get("theta0", 0.0)),
         halfwidth=float(section.get("halfwidth", 0.0)),
-        seed=int(section.get("seed", 0)),
+        seed=_seed(section.get("seed", 0), f"{path}.seed"),
     )
 
 
@@ -273,7 +297,7 @@ class ExperimentConfig:
             if len(self.alpha_values) != 1:
                 raise ConfigError("this command needs a single alpha (not a sweep)")
             alpha = self.alpha_values[0]
-        _, psi = self.walk.build()
+        psi = None if self.walk is None else self.walk.build()[1]
         return CouplingSpec(alpha, self.coupling_v, psi)
 
     @property
@@ -287,13 +311,11 @@ def parse_config(data: dict) -> ExperimentConfig:
     command = data.get("command")
     if command is not None and command not in COMMANDS:
         raise ConfigError(f"config.command: unknown command {command!r}")
-    if not isinstance(data.get("seed", 0), int):
-        raise ConfigError("config.seed: expected an integer")
+    _seed(data.get("seed", 0), "config.seed")
     options = data.get("options", {})
     _check_keys(options, OPTION_FIELDS, "config.options")
     for key, value in options.items():
-        if key.endswith("_tol") and not (isinstance(value, (int, float)) and value > 0):
-            raise ConfigError(f"config.options.{key}: tolerances must be positive")
+        _check_option(key, value)
 
     cfg = ExperimentConfig(command=command, raw=data,
                            output_dir=data.get("output_dir"),
@@ -309,13 +331,17 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("config.coupling: give alpha or alpha_sweep, not both")
         if "alpha" in section:
             cfg.alpha_values = [float(section["alpha"])]
-        elif "alpha_sweep" in section:
+        elif isinstance(section.get("alpha_sweep"), list) and section["alpha_sweep"]:
             cfg.alpha_values = [float(a) for a in section["alpha_sweep"]]
+        else:
+            raise ConfigError("config.coupling: give alpha or a non-empty alpha_sweep")
         if "v" in section:
             v = _complex_vector(section["v"], "config.coupling.v")
+        elif cfg.environment is None:
+            raise ConfigError("config.environment: needed for the default coupling.v")
+        elif cfg.environment.m != 1:
+            raise ConfigError("config.coupling.v: required unless m = 1")
         else:
-            if cfg.environment is None or cfg.environment.m != 1:
-                raise ConfigError("config.coupling.v: required unless m = 1")
             v = np.array([1.0 + 0.0j])
         cfg.coupling_v = v
     if "disorder" in data:

@@ -9,9 +9,12 @@ one-particle sample map after one step is the contraction
     M = W (1 + (cos(alpha) - 1) P),
 
 whose spectral radius drops below 1 exactly when ``psi*`` is cyclic for ``W``
-and ``alpha`` is not a multiple of pi.  ``M`` is a rank-one perturbation of
-the unitary ``W = sum_k lambda_k x_k x_k^*``, so its eigenvalues are the
-roots of the secular equation
+and ``alpha`` is not a multiple of pi; ``spr(M) < SPR_MAX`` is the one test
+of both (:func:`is_cyclic` asks it at ``alpha = pi/2``).  Since ``spr(M) >=
+|det M|^(1/d) = |cos alpha|^(1/d)``, it refuses every ``alpha`` within 1e-8
+of a multiple of pi.  ``M`` is a rank-one perturbation of the unitary
+``W = sum_k lambda_k x_k x_k^*``, so its eigenvalues are the roots of the
+secular equation
 
     1 = (cos(alpha) - 1) sum_k w_k lambda_k / (z - lambda_k),   w_k = |<x_k, psi*>|^2
 
@@ -44,15 +47,15 @@ __all__ = [
     "Window",
     "build_contraction",
     "spectral_radius",
+    "is_cyclic",
     "decay_certificate",
     "horizon",
     "one_step_joint_operator",
     "moller_sample_block",
 ]
 
-SIN_ALPHA_MIN = 1e-8
 # spr(M) below this is contractive: the one gate of the asymptotic formulas,
-# the decay certificate and the disorder skip rule
+# the decay certificate, the disorder skip rule and the cyclicity test
 SPR_MAX = 1.0 - 1e-12
 # largest step count a certified horizon may ask for
 MAX_HORIZON = 200_000
@@ -89,17 +92,6 @@ class CouplingSpec:
         if self.psi_star is None:
             raise CouplingError("this operation needs the sample star vector psi*")
         return self.psi_star
-
-    @property
-    def effectively_coupled(self) -> bool:
-        """Whether ``|sin alpha|`` clears the threshold needed for asymptotics."""
-        return abs(np.sin(self.alpha)) > SIN_ALPHA_MIN
-
-    def require_coupled(self):
-        if not self.effectively_coupled:
-            raise CouplingError(
-                f"alpha = {self.alpha} is numerically a multiple of pi "
-                f"(|sin alpha| <= {SIN_ALPHA_MIN:g}); asymptotic formulas refused")
 
     def weights(self, env: EnvironmentSpec) -> np.ndarray:
         """Sector weights ``w_i = ||pi_i v||^2``; they sum to ``||v||^2``, within 1e-10 of 1."""
@@ -191,6 +183,18 @@ def spectral_radius(W: np.ndarray, psi_star: np.ndarray, alpha: float,
         return 1.0 - gap
     # spr(M)^2 = 1 - gap >= 0 may round below 0 when the roots sit at the origin
     return float(1.0 - gap / (1.0 + np.sqrt(max(1.0 - gap, 0.0))))
+
+
+def is_cyclic(W: np.ndarray, psi: np.ndarray) -> tuple[bool, float]:
+    """``(spr < SPR_MAX, 1 - spr)`` for the full-exchange contraction ``W (1 - P)``.
+
+    ``psi`` is cyclic for the unitary ``W`` exactly when every eigenvalue is
+    simple and has a weight ``w_k > 0``, that is when ``spr < 1``, and
+    ``1 - spr`` is of the order of ``min_k w_k``.  At a small ``alpha`` the
+    gap shrinks like ``sin^2(alpha/2)``, so a cyclic ``psi`` may fail there.
+    """
+    spr = build_contraction(W, psi, 0.5 * np.pi).spectral_radius
+    return spr < SPR_MAX, 1.0 - spr
 
 
 def _secular_gap(phases: np.ndarray, weights: np.ndarray, c: float) -> float:
@@ -410,7 +414,6 @@ def moller_sample_block(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingS
     The block identity ``A* Sigma_w A = Delta`` holds for every initial sample
     symbol, since the sample block of the Moller column vanishes.
     """
-    coupling.require_coupled()
     psi_star = coupling.star()
     contraction = build_contraction(W, psi_star, coupling.alpha)
     contraction.require_contractive()

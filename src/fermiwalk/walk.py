@@ -20,6 +20,9 @@ at half size: :func:`chiral_square` finds the halves and forms
 of ``W`` are ``+-sqrt(mu)`` over those ``mu`` of ``XY``.  This is the
 chiral symmetry ``Gamma W Gamma = -W`` of coined walks written as CMV
 matrices (Cantero, Grunbaum, Moral & Velazquez, *CPAM* 63, 2010).
+
+Whether a star vector is cyclic for ``W`` is decided by the contraction
+gate, in :func:`fermiwalk.coupling.is_cyclic`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "build_regular_graph_walk",
     "cycle_index",
     "cycle_star_vector",
-    "is_cyclic",
     "check_unitary",
     "unitary_spectrum",
     "chiral_square",
@@ -203,28 +205,6 @@ def build_regular_graph_walk(n: int, r: int, edge_coloring, coins) -> np.ndarray
                 raise WalkError(f"colour {a} is not an involution at vertex {nu}")
             rows[nu, a] = r * nup + a
     return _hop_after_coin(rows, _coin_stack(coins, n, r))
-
-
-def is_cyclic(W: np.ndarray, psi: np.ndarray, tol: float = 1e-10) -> tuple[bool, int]:
-    """Test whether ``psi`` is cyclic for ``W`` by the rank of the Krylov matrix.
-
-    Builds ``[psi, W psi, ..., W^{d-1} psi]`` and counts singular values above
-    ``tol`` times the largest one.  Returns ``(rank == d, rank)``.
-    """
-    W = np.asarray(W, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    d = W.shape[0]
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-8:
-        raise WalkError(f"psi must be a unit vector, got ||psi|| = {nrm:.6f}")
-    krylov = np.empty((d, d), dtype=complex)
-    vec = psi
-    for k in range(d):
-        krylov[:, k] = vec
-        vec = W @ vec
-    svals = np.linalg.svd(krylov, compute_uv=False)
-    rank = int(np.count_nonzero(svals > tol * svals[0]))
-    return rank == d, rank
 
 
 @dataclass

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fermiwalk.cli import main, matrix_to_csv
-from fermiwalk.config import (ConfigError, canonical_json, config_hash,
-                              load_config, parse_config)
+from fermiwalk.config import (COMMAND_OPTIONS, COMMANDS, ConfigError, canonical_json,
+                              config_hash, load_config, parse_config)
 from fermiwalk.coupling import MAX_HORIZON
 from fermiwalk.simulate import CovarianceState
 
@@ -19,6 +19,18 @@ BASE_CONFIG = {
                     "symbol_functions": [{"coefficients": [0.5, 0.0, 0.125]}]},
     "coupling": {"alpha": 0.7853981633974483},
     "seed": 7,
+}
+DISORDER = {"t": 0.8, "r": 0.6, "n": 32, "distribution": "point", "theta0": 0.9}
+# the sections each command reads
+READS = {
+    "validate": (),
+    "asymptotic": ("walk", "environment", "coupling"),
+    "flux": ("walk", "environment", "coupling"),
+    "profile": ("walk", "environment", "coupling"),
+    "simulate": ("walk", "environment", "coupling"),
+    "oracle_check": ("walk", "environment", "coupling"),
+    "disorder_dos": ("disorder",),
+    "averaged_density": ("disorder", "environment", "coupling"),
 }
 
 
@@ -74,11 +86,65 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not both"):
             parse_config(bad)
 
-    def test_negative_tolerance_rejected(self):
-        bad = dict(BASE_CONFIG)
-        bad["options"] = {"krylov_tol": -1.0}
-        with pytest.raises(ConfigError, match="positive"):
-            parse_config(bad)
+    BAD_OPTIONS = [
+        ("simulate", "steps", 0),
+        ("simulate", "steps", 2.5),
+        ("oracle_check", "steps", -2),
+        ("oracle_check", "window", [0]),
+        ("oracle_check", "window", [1, 0]),
+        ("oracle_check", "window", [0, 1.5]),
+        ("disorder_dos", "bins", 0),
+        ("disorder_dos", "samples", 0),
+        ("averaged_density", "samples", -3),
+        ("validate", "export_matrices", "yes"),
+    ]
+
+    @pytest.mark.parametrize("command, key, value", BAD_OPTIONS,
+                             ids=[f"{c}-{k}={v}".replace(" ", "") for c, k, v in BAD_OPTIONS])
+    def test_bad_option_value_exits_2(self, tmp_path, capsys, command, key, value):
+        cfg = dict(BASE_CONFIG, disorder=DISORDER, options={key: value})
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"config.options.{key}: expected" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.json").exists()
+
+    @pytest.mark.parametrize("where", ["--seed", "config.seed", "disorder.seed",
+                                       "walk.coins.seed"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, where):
+        cfg = {"disorder": dict(DISORDER), "options": {"samples": 2, "bins": 8}}
+        command, args = "disorder_dos", []
+        if where == "--seed":
+            args = ["--seed", "-1"]
+        elif where == "config.seed":
+            cfg["seed"] = -1
+        elif where == "disorder.seed":
+            cfg["disorder"]["seed"] = -1
+        else:
+            command = "validate"
+            cfg = {"walk": {"kind": "cycle", "n": 4, "coins": {"kind": "random", "seed": -1}}}
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)] + args) == 2
+        assert f"{where}: expected a non-negative integer" in capsys.readouterr().err
+
+    def test_readme_options_table(self):
+        # the table under "Each command reads only its own options"
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        lines = readme[readme.index("| command | options |"):].splitlines()[2:]
+        table = {}
+        for line in lines:
+            if not line.startswith("|"):
+                break
+            commands, options = line.strip("|").split("|")
+            for command in commands.replace("`", "").split(","):
+                table[command.strip()] = frozenset(
+                    o.strip() for o in options.replace("`", "").split(",")
+                    if o.strip() != "none")
+        assert table == COMMAND_OPTIONS
+
+    @pytest.mark.parametrize("coupling", [{}, {"alpha_sweep": []}])
+    def test_coupling_needs_an_alpha(self, coupling):
+        with pytest.raises(ConfigError, match="config.coupling: give alpha"):
+            parse_config(dict(BASE_CONFIG, coupling=coupling))
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -104,6 +170,8 @@ class TestCommands:
         assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 0
         report = read_result(tmp_path, "validate.json")
         assert report["results"]["walk"]["cyclic"] is True
+        assert report["results"]["walk"]["cyclic_gap"] > 0.01
+        assert report["results"]["coupling"]["contractive"] is True
         assert report["results"]["environment"]["passed"] is True
         assert report["inputs_hash"] == config_hash(BASE_CONFIG)
 
@@ -137,6 +205,40 @@ class TestCommands:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_section_exits_2(self, tmp_path, capsys, command):
+        full = dict(BASE_CONFIG, disorder=DISORDER)
+        for name in READS[command]:
+            cfg = {key: value for key, value in full.items() if key != name}
+            path = write_config(tmp_path, cfg)
+            assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+            assert f"fermiwalk: config.{name}: " in capsys.readouterr().err
+        if command == "validate":
+            # without a walk, validate still checks the environment and the
+            # weights, and cannot say whether the coupling contracts
+            cfg = {key: value for key, value in full.items() if key != "walk"}
+            path = write_config(tmp_path, cfg)
+            assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+            report = read_result(tmp_path, "validate.json")["results"]
+            assert "walk" not in report
+            assert report["environment"]["passed"] is True
+            assert report["coupling"] == {"alpha": BASE_CONFIG["coupling"]["alpha"],
+                                          "weights": [1.0]}
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_validate_cyclic_iff_asymptotic_runs(self, tmp_path, seed):
+        # n = 48 Haar rings: psi* has weights down to 1e-16 on some seeds,
+        # which a Krylov rank test called cyclic and the spr gate refuses
+        cfg = dict(BASE_CONFIG, walk={"kind": "cycle", "n": 48,
+                                      "coins": {"kind": "random", "seed": seed}},
+                   coupling={"alpha": 0.7})
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 0
+        report = read_result(tmp_path, "validate.json")["results"]
+        runs = main(["asymptotic", "--config", path, "--out", str(tmp_path)]) == 0
+        assert report["walk"]["cyclic"] == runs
+        assert report["coupling"]["contractive"] == runs
 
     def test_asymptotic_outputs(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from fermiwalk.coupling import (MAX_HORIZON, SPR_MAX, CouplingError, CouplingSpec, Window,
                                 build_contraction, coupling_exponential,
-                                decay_certificate, moller_sample_block,
+                                decay_certificate, is_cyclic, moller_sample_block,
                                 one_step_joint_operator, spectral_radius)
-from fermiwalk.asymptotics import asymptotic_symbol
+from fermiwalk.asymptotics import asymptotic_symbol, flux_expectations
 from fermiwalk.environment import EnvironmentSpec, SymbolFunction, build_truncated_symbol
 from fermiwalk.walk import (build_cycle_walk, chiral_square, cycle_star_vector, hadamard_coin,
-                            is_cyclic, random_coin, rotation_coin, unitary_spectrum)
+                            random_coin, rotation_coin, unitary_spectrum)
 
 
 def rotation_walk(n=4, thetas=(0.3, 0.8, 1.2, 0.5)):
@@ -73,6 +73,15 @@ def dense_spr(M):
 def random_star(d, rng):
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return psi / np.linalg.norm(psi)
+
+
+def sample_walk(d, seed, ring):
+    """A random ring of ``max(2, ceil(d/2))`` vertices with its default ``psi*``, or a Haar walk of size d."""
+    rng = np.random.default_rng(seed)
+    if ring:
+        n = max(2, (d + 1) // 2)
+        return build_cycle_walk(n, [random_coin(2, rng) for _ in range(n)]), cycle_star_vector(n)
+    return random_coin(d, rng), random_star(d, rng)
 
 
 class TestSpectralRadius:
@@ -186,6 +195,18 @@ class TestSpectralRadius:
                 for alpha in (0.2, 1.4, 2.6):
                     assert spectral_radius(W, cycle_star_vector(n), alpha) >= SPR_MAX
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 32), seed=st.integers(0, 2 ** 32 - 1),
+           alpha=st.floats(-2 * np.pi, 2 * np.pi), ring=st.booleans())
+    def test_determinant_bound(self, d, seed, alpha, ring):
+        # |det M| = |cos alpha|, so spr(M) >= |cos alpha|^(1/d): an alpha
+        # near a multiple of pi cannot pass the contraction gate
+        W, psi = sample_walk(d, seed, ring)
+        dim = W.shape[0]
+        bound = 1.0 - abs(np.cos(alpha)) ** (1.0 / dim)
+        gap = 1.0 - spectral_radius(W, psi, alpha)
+        assert gap <= bound + 64 * dim * np.finfo(float).eps
+
     def test_cyclic_instance_contracts(self):
         W, psi = rotation_walk()
         c = build_contraction(W, psi, np.pi / 3)
@@ -278,14 +299,59 @@ class TestCouplingSpec:
         with pytest.raises(CouplingError, match="unit"):
             CouplingSpec(0.5, np.array([1.0, 1.0]))
 
-    def test_alpha_threshold(self):
-        spec = CouplingSpec(1e-9, np.array([1.0]))
-        assert not spec.effectively_coupled
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(alpha=st.sampled_from([0.0, 1e-9, -1e-9, np.pi - 1e-9, np.pi, np.pi + 1e-9,
+                                  2 * np.pi + 1e-9]),
+           seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 16), ring=st.booleans(),
+           which=st.sampled_from(["symbol", "flux", "moller"]))
+    def test_multiple_of_pi_refused(self, alpha, seed, d, ring, which):
+        # no threshold on alpha: spr(M) >= |cos alpha|^(1/d) puts these
+        # alphas within 1e-16 of spr = 1, and the contraction gate refuses them
+        W, psi = sample_walk(d, seed, ring)
+        coupling = CouplingSpec(alpha, np.array([1.0]), psi)
+        run = {"symbol": asymptotic_symbol, "flux": flux_expectations,
+               "moller": moller_sample_block}[which]
         with pytest.raises(CouplingError, match="multiple of pi"):
-            spec.require_coupled()
-        assert CouplingSpec(0.3, np.array([1.0])).effectively_coupled
-        with pytest.raises(CouplingError, match="multiple of pi"):
-            CouplingSpec(np.pi, np.array([1.0])).require_coupled()
+            run(env_m1(), W, coupling)
+
+
+class TestIsCyclic:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1), repeated=st.booleans())
+    def test_false_by_construction(self, d, seed, repeated):
+        # W = X diag(lambda) X* with a repeated lambda, or psi* orthogonal
+        # to one eigenvector: either way psi* is not cyclic
+        rng = np.random.default_rng(seed)
+        X = random_coin(d, rng)
+        lam = np.exp(2j * np.pi * rng.random(d))
+        psi = random_star(d, rng)
+        if repeated:
+            lam[1] = lam[0]
+        else:
+            psi -= X[:, 0] * np.vdot(X[:, 0], psi)
+            psi /= np.linalg.norm(psi)
+        W = (X * lam) @ X.conj().T
+        cyclic, gap = is_cyclic(W, psi)
+        assert not cyclic and gap <= 1.0 - SPR_MAX
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1), star=st.booleans())
+    def test_haar_walks_are_cyclic(self, d, seed, star):
+        # the gap is of the order of the smallest weight; it is smaller when
+        # two eigenvalues nearly coincide (by about their squared distance)
+        rng = np.random.default_rng(seed)
+        W = random_coin(d, rng)
+        psi = random_star(d, rng) if star else np.eye(d)[0]
+        cyclic, gap = is_cyclic(W, psi)
+        phases, weights = unitary_spectrum(W, psi)
+        lam = np.exp(1j * phases)
+        spacing = (np.abs(lam[:, None] - lam) + 4 * np.eye(d)).min()
+        assert cyclic
+        assert weights.min() * spacing ** 2 / 8 <= gap <= 8 * weights.min()
+
+    def test_refuses_a_non_unit_star(self):
+        with pytest.raises(CouplingError, match="unit"):
+            is_cyclic(np.eye(2), np.array([1.0, 1.0]))
 
 
 class TestJointOperator:

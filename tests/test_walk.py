@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fermiwalk.coupling import is_cyclic
 from fermiwalk.walk import (WalkError, WalkSpec, build_cycle_walk,
                             build_regular_graph_walk, chiral_square, cycle_index,
-                            cycle_star_vector, hadamard_coin, is_cyclic,
+                            cycle_star_vector, hadamard_coin,
                             random_coin, rotation_coin, unitary_spectrum)
 
 
@@ -76,15 +77,13 @@ def test_odd_vertex_count_rejected():
 
 
 def test_identity_walk_is_never_cyclic():
-    ok, rank = is_cyclic(np.eye(4), np.array([1.0, 0, 0, 0]))
-    assert (ok, rank) == (False, 1)
+    assert is_cyclic(np.eye(4), np.array([1.0, 0, 0, 0])) == (False, 0.0)
 
 
 def test_identity_coins_not_cyclic():
     n = 4
     W = build_cycle_walk(n, [np.eye(2)] * n)
-    ok, rank = is_cyclic(W, cycle_star_vector(n))
-    assert not ok and rank < 2 * n
+    assert is_cyclic(W, cycle_star_vector(n)) == (False, 0.0)
 
 
 def test_equal_coins_break_cyclicity_on_larger_cycles():
@@ -94,28 +93,35 @@ def test_equal_coins_break_cyclicity_on_larger_cycles():
     evals = np.linalg.eigvals(W)
     gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(8)
     assert gaps.min() < 1e-12
-    ok, rank = is_cyclic(W, cycle_star_vector(4))
-    assert (ok, rank) == (False, 6)
+    assert is_cyclic(W, cycle_star_vector(4)) == (False, 0.0)
 
 
 def test_two_cycle_hadamard_is_cyclic():
+    # W (1 - P) is nilpotent here: every root of the secular equation is 0,
+    # up to the eps^(1/4) spread of a 4 x 4 Jordan block
     W = build_cycle_walk(2, [hadamard_coin()] * 2)
-    assert is_cyclic(W, cycle_star_vector(2)) == (True, 4)
+    cyclic, gap = is_cyclic(W, cycle_star_vector(2))
+    assert cyclic and gap > 0.99
 
 
 def test_distinct_rotation_coins_are_cyclic():
     thetas = [0.3, 0.8, 1.2, 0.5]
     W = build_cycle_walk(4, [rotation_coin(t) for t in thetas])
-    assert is_cyclic(W, cycle_star_vector(4)) == (True, 8)
+    psi = cycle_star_vector(4)
+    cyclic, gap = is_cyclic(W, psi)
+    w_min = unitary_spectrum(W, psi)[1].min()
+    assert cyclic and w_min / 8 < gap < w_min
 
 
 def test_cyclicity_invariant_under_phases():
     rng = np.random.default_rng(11)
     W = build_cycle_walk(4, [random_coin(2, rng) for _ in range(4)])
     psi = cycle_star_vector(4)
-    ref = is_cyclic(W, psi)
-    assert is_cyclic(np.exp(0.7j) * W, psi) == ref
-    assert is_cyclic(W, np.exp(-1.3j) * psi) == ref
+    cyclic, gap = is_cyclic(W, psi)
+    assert cyclic
+    for W2, psi2 in ((np.exp(0.7j) * W, psi), (W, np.exp(-1.3j) * psi)):
+        cyclic2, gap2 = is_cyclic(W2, psi2)
+        assert cyclic2 and gap2 == pytest.approx(gap, rel=1e-10)
 
 
 def test_homogeneous_walk_commutes_with_shift():
