@@ -2,13 +2,17 @@
 
 The large-time sample state is quasi-free with symbol
 
-    Delta = sum_i ||pi_i v||^2  2 Re F_i(M*),     M = W (1 + (cos alpha - 1) P),
+    Delta = sum_i ||pi_i v||^2  2 Re F_i(M*) = 2 Re F_B(M*),
+    M = W (1 + (cos alpha - 1) P),  B(l) = sum_i ||pi_i v||^2 c_i(l),
 
 from which everything else follows: the particle number is Poisson binomial
 with parameters the eigenvalues of Delta, ring walks have an explicit density
 profile and negative inter-node correlations, and the steady particle fluxes
 into the reservoir sectors have a finite closed form in the coefficients of
-the ``F_i``.
+the ``F_i``.  The reservoir is read only through the coefficient table
+``env.coefficients`` and the sample only through return amplitudes of
+:func:`~fermiwalk.coupling.orbit`; the fluxes and both small-coupling rates
+are one expression in them (:func:`_flux_form`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import ContractionM, CouplingError, CouplingSpec, build_contraction
+from .coupling import ContractionM, CouplingError, CouplingSpec, build_contraction, orbit
 from .environment import EnvironmentSpec, _series, hermitian_part
 
 __all__ = [
@@ -58,21 +62,18 @@ class AsymptoticState:
 
 def asymptotic_symbol(env: EnvironmentSpec, W: np.ndarray,
                       coupling: CouplingSpec) -> AsymptoticState:
-    """``Delta = sum_i w_i 2 Re F_i(M*)`` with the sector weights ``w_i = ||pi_i v||^2``.
+    """``Delta = sum_i w_i 2 Re F_i(M*) = 2 Re F_B(M*)``, with ``w_i = ||pi_i v||^2``.
 
-    The series in ``M*`` needs ``||M*|| <= 1``, which holds by construction
-    and is not re-checked: ``W`` is unitary and ``1 + (cos alpha - 1) P``
-    has singular values 1 and ``|cos alpha|``.
+    The sum over sectors is linear in the coefficients, so it is one series
+    in the profile ``B(l) = sum_i w_i c_i(l)``.  The series in ``M*`` needs
+    ``||M*|| <= 1``, which holds by construction and is not re-checked:
+    ``W`` is unitary and ``1 + (cos alpha - 1) P`` has singular values 1
+    and ``|cos alpha|``.
     """
     contraction = build_contraction(W, coupling.star(), coupling.alpha)
     contraction.require_contractive()
     w = coupling.weights(env)
-    Mstar = contraction.matrix.conj().T
-    d = W.shape[0]
-    delta = np.zeros((d, d), dtype=complex)
-    for i, f in enumerate(env.symbol_functions):
-        if w[i] != 0.0:
-            delta += w[i] * 2.0 * hermitian_part(_series(f, Mstar))
+    delta = 2.0 * hermitian_part(_series(w @ env.coefficients, contraction.matrix.conj().T))
     eigenvalues = np.linalg.eigvalsh(delta)
     state = AsymptoticState(delta, eigenvalues, contraction, env, w)
     state.validate()
@@ -182,17 +183,6 @@ class FluxResult:
         return float(self.phi.sum())
 
 
-def _mean_return_amplitudes(contraction: ContractionM, horizon: int) -> np.ndarray:
-    """``m(t') = <psi*, M^{t'-1} W psi*>`` for ``t' = 1..horizon``."""
-    psi = contraction.psi_star
-    vec = contraction.W @ psi
-    out = np.empty(horizon, dtype=complex)
-    for t in range(horizon):
-        out[t] = np.vdot(psi, vec)
-        vec = contraction.matrix @ vec
-    return out
-
-
 def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpec,
                       with_rates: bool = True,
                       contraction: ContractionM | None = None) -> FluxResult:
@@ -211,15 +201,23 @@ def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpe
     contraction.require_contractive()
     w = coupling.weights(env)
     alpha = coupling.alpha
-    L = env.max_degree
-    mvals = _mean_return_amplitudes(contraction, L) if L > 0 else np.zeros(0, dtype=complex)
-
-    c, B = _coefficient_table(env, w)
-    diff = B - c
-    phi = w * ((2.0 - 2.0 * np.cos(alpha)) * diff[:, 0].real
-               + 2.0 * np.sin(alpha) ** 2 * np.real(diff[:, 1:].conj() @ mvals))
+    psi = contraction.psi_star
+    m = orbit(contraction.matrix, contraction.W @ psi, env.max_degree) @ psi.conj()
+    phi = _flux_form(env, w, 2.0 - 2.0 * np.cos(alpha), 2.0 * np.sin(alpha) ** 2, m)
     rates = small_alpha_flux_rate(env, w) if (with_rates and _weights_nondegenerate(w)) else None
     return FluxResult(phi, w, alpha, rates)
+
+
+def _flux_form(env: EnvironmentSpec, w: np.ndarray, k0: float, k1: float, a) -> np.ndarray:
+    """``w_i [k0 (B(0) - c_i(0)) + k1 Re sum_{t>=1} a(t) conj(B(t) - c_i(t))]``.
+
+    The one expression behind the fluxes (``k0 = 2 - 2 cos alpha``,
+    ``k1 = 2 sin^2 alpha``, ``a = m``) and both small-coupling rates
+    (``k0 = 1``, ``k1 = 2``, ``a = u`` or ``a = 1``).
+    """
+    c = env.coefficients
+    diff = w @ c - c
+    return w * (k0 * diff[:, 0].real + k1 * np.real(diff[:, 1:].conj() @ a))
 
 
 def _weights_nondegenerate(w: np.ndarray, tol: float = 1e-12) -> bool:
@@ -230,11 +228,13 @@ def small_alpha_flux_rate(env: EnvironmentSpec, weights: np.ndarray) -> np.ndarr
     """Small-coupling flux rates ``r_i = lim phi_i / alpha^2``.
 
         r_i = w_i (1 - w_i) 2 Re ( sum_{j != i} w_j F_j(1) / (1 - w_i) - F_i(1) )
+            = w_i 2 Re (F_B(1) - F_i(1)),
 
-    Requires every weight strictly inside (0, 1) (``v != pi_i v``).  Exact
-    when the walk leaves no return amplitude inside the coefficient support
-    (in particular for constant ``F``); see ``flux_expectations`` for the
-    finite-coupling form.
+    which is :func:`small_alpha_flux_rate_walk` with every return amplitude
+    set to 1.  Requires every weight strictly inside (0, 1) (``v != pi_i
+    v``).  Exact when the walk leaves no return amplitude inside the
+    coefficient support (in particular for constant ``F``); see
+    ``flux_expectations`` for the finite-coupling form.
     """
     w = np.asarray(weights, dtype=float)
     if len(w) != env.m:
@@ -243,12 +243,7 @@ def small_alpha_flux_rate(env: EnvironmentSpec, weights: np.ndarray) -> np.ndarr
         raise CouplingError(
             "small-coupling rates need v != pi_i v for every sector "
             f"(all weights strictly in (0,1)); got {w}")
-    f1 = np.array([f.at_one() for f in env.symbol_functions])
-    rates = np.empty(env.m)
-    for i in range(env.m):
-        other = sum(w[j] * f1[j] for j in range(env.m) if j != i) / (1.0 - w[i])
-        rates[i] = w[i] * (1.0 - w[i]) * 2.0 * np.real(other - f1[i])
-    return rates
+    return _flux_form(env, w, 1.0, 2.0, np.ones(env.max_degree))
 
 
 def small_alpha_flux_rate_walk(env: EnvironmentSpec, W: np.ndarray,
@@ -270,19 +265,5 @@ def small_alpha_flux_rate_walk(env: EnvironmentSpec, W: np.ndarray,
     w = coupling.weights(env)
     if not _weights_nondegenerate(w):
         raise CouplingError("small-coupling rates need all weights strictly in (0, 1)")
-    u = np.empty(env.max_degree, dtype=complex)
-    vec = psi
-    for t in range(env.max_degree):
-        vec = W @ vec
-        u[t] = np.vdot(psi, vec)
-    c, B = _coefficient_table(env, w)
-    diff = B - c
-    return w * (diff[:, 0].real + 2.0 * np.real(diff[:, 1:].conj() @ u))
-
-
-def _coefficient_table(env: EnvironmentSpec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(c, B)``: ``c[i, t] = c_i(t)`` for ``t = 0..L_max`` and ``B(t) = sum_j w_j c_j(t)``."""
-    c = np.zeros((env.m, env.max_degree + 1), dtype=complex)
-    for i, F in enumerate(env.symbol_functions):
-        c[i, :len(F.coefficients)] = F.coefficients
-    return c, w @ c
+    u = orbit(W, W @ psi, env.max_degree) @ psi.conj()
+    return _flux_form(env, w, 1.0, 2.0, u)

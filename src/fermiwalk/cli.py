@@ -33,7 +33,7 @@ from .coupling import CouplingError, Window, build_contraction, is_cyclic
 from .disorder import (averaged_density, density_of_states,
                        enlarged_band_intervals, exact_band_intervals,
                        phases_in_bands)
-from .environment import ReservoirError, validate_symbol
+from .environment import SYMBOL_SLACK, ReservoirError, validate_symbol
 from .simulate import CovarianceState, FockOracle
 from .walk import WalkError
 
@@ -107,7 +107,7 @@ def _cmd_validate(cfg, outdir, seed, threads):
     report = {}
     ok = True
     if cfg.walk is not None:
-        W, psi = cfg.walk.build()
+        W, psi = cfg.built_walk
         cyclic, gap = is_cyclic(W, psi)
         unit_dev = float(np.linalg.norm(W.conj().T @ W - np.eye(W.shape[0])))
         report["walk"] = {"dimension": W.shape[0], "unitarity_deviation": unit_dev,
@@ -126,7 +126,7 @@ def _cmd_validate(cfg, outdir, seed, threads):
         if not rep.passed:
             ok = False
             bad = [i for i, (lo, hi) in enumerate(zip(rep.minima, rep.maxima))
-                   if lo < -rep.slack or hi > 1 + rep.slack]
+                   if lo < -SYMBOL_SLACK or hi > 1 + SYMBOL_SLACK]
             report["environment"]["violations"] = [
                 {"sector": i, "min": rep.minima[i], "max": rep.maxima[i],
                  "worst_phi": rep.worst_phi[i]} for i in bad]
@@ -144,7 +144,7 @@ def _cmd_validate(cfg, outdir, seed, threads):
 
 
 def _asymptotic_results(cfg):
-    W, _ = cfg.walk.build()
+    W, _ = cfg.built_walk
     coup = cfg.coupling()
     state = asymptotic_symbol(cfg.environment, W, coup)
     pb = particle_number_distribution(state)
@@ -193,7 +193,7 @@ def _cmd_profile(cfg, outdir, seed, threads):
 
 
 def _cmd_flux(cfg, outdir, seed, threads):
-    W, _ = cfg.walk.build()
+    W, _ = cfg.built_walk
     rows = []
     records = []
     for alpha in cfg.alpha_values:
@@ -215,7 +215,7 @@ def _cmd_flux(cfg, outdir, seed, threads):
 
 
 def _cmd_simulate(cfg, outdir, seed, threads):
-    W, _ = cfg.walk.build()
+    W, _ = cfg.built_walk
     coup = cfg.coupling()
     state = asymptotic_symbol(cfg.environment, W, coup)
     window = Window(0, cfg.environment.max_degree, cfg.environment.m)
@@ -246,7 +246,7 @@ def _cmd_simulate(cfg, outdir, seed, threads):
 
 
 def _cmd_oracle_check(cfg, outdir, seed, threads):
-    W, _ = cfg.walk.build()
+    W, _ = cfg.built_walk
     coup = cfg.coupling()
     a, b = cfg.options.get("window", (-2, 1))
     window = Window(a, b, cfg.environment.m)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,10 +130,27 @@ def _check_keys(section: dict, allowed, path: str):
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
 
 
-def _seed(value, path: str) -> int:
-    if type(value) is not int or value < 0:
-        raise ConfigError(f"{path}: expected a non-negative integer")
-    return value
+def _number(value, path: str, kind: type = float, minimum: int | None = None):
+    """Every numeric field: a finite float, or with ``kind=int`` an integer ``>= minimum``."""
+    if kind is int:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or (
+                minimum is not None and value < minimum):
+            what = {None: "an integer", 0: "a non-negative integer"}.get(
+                minimum, f"an integer >= {minimum}")
+            raise ConfigError(f"{path}: expected {what}")
+        return int(value)
+    if (not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool)
+            or not np.isfinite(value)):
+        raise ConfigError(f"{path}: expected a finite number")
+    return float(value)
+
+
+def _numbers(value, path: str, length: int | None = None, kind: type = float) -> list:
+    """A list of :func:`_number` entries, of ``length`` entries if given."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = "" if length is None else f" of {length} entries"
+        raise ConfigError(f"{path}: expected a list{size}")
+    return [_number(x, f"{path}[{i}]", kind) for i, x in enumerate(value)]
 
 
 def _check_option(key: str, value):
@@ -145,8 +163,8 @@ def _check_option(key: str, value):
         if not (isinstance(value, list) and len(value) == 2
                 and all(type(x) is int for x in value) and value[0] <= value[1]):
             raise ConfigError(f"{path}: expected two integers [a, b] with a <= b")
-    elif type(value) is not int or value < 1:   # steps, samples, bins
-        raise ConfigError(f"{path}: expected an integer >= 1")
+    else:                                       # steps, samples, bins
+        _number(value, path, int, minimum=1)
 
 
 def _complex_scalar(value, path: str) -> complex:
@@ -178,12 +196,9 @@ def _parse_coins(section, n: int, dim: int, path: str) -> list:
             raise ConfigError(f"{path}: hadamard coins are 2x2")
         return [hadamard_coin()] * n
     if kind == "rotation":
-        thetas = section.get("thetas")
-        if not isinstance(thetas, list) or len(thetas) != n:
-            raise ConfigError(f"{path}.thetas: need {n} angles")
-        return [rotation_coin(float(t)) for t in thetas]
+        return [rotation_coin(t) for t in _numbers(section.get("thetas"), f"{path}.thetas", n)]
     if kind == "random":
-        rng = np.random.default_rng(_seed(section.get("seed", 0), f"{path}.seed"))
+        rng = np.random.default_rng(_number(section.get("seed", 0), f"{path}.seed", int, 0))
         return [random_coin(dim, rng) for _ in range(n)]
     if kind == "explicit":
         mats = section.get("matrices")
@@ -198,21 +213,24 @@ def _parse_walk(section, path="walk") -> WalkSpec:
                           "star_site", "star_spin", "star_vector"}, path)
     kind = section.get("kind")
     if kind == "cycle":
-        n = int(section.get("n", 0))
+        n = _number(section.get("n", 0), f"{path}.n", int)
         coins = _parse_coins(section.get("coins", {}), n, 2, f"{path}.coins")
         star = None
         if "star_vector" in section:
             star = _complex_vector(section["star_vector"], f"{path}.star_vector")
         elif "star_site" in section or "star_spin" in section:
-            star = cycle_star_vector(n, int(section.get("star_site", 0)),
-                                     int(section.get("star_spin", -1)))
+            site = _number(section.get("star_site", 0), f"{path}.star_site", int)
+            star = cycle_star_vector(n, site, _number(section.get("star_spin", -1),
+                                                      f"{path}.star_spin", int))
         return WalkSpec(kind="cycle", n=n, coins=coins, star_vector=star)
     if kind == "regular_graph":
-        n, r = int(section.get("n", 0)), int(section.get("r", 0))
+        n = _number(section.get("n", 0), f"{path}.n", int)
+        r = _number(section.get("r", 0), f"{path}.r", int)
         coloring = section.get("edge_coloring")
         if not isinstance(coloring, list) or len(coloring) != n:
             raise ConfigError(f"{path}.edge_coloring: need an n x r table of targets")
-        table = {(nu, a): int(coloring[nu][a]) for nu in range(n) for a in range(r)}
+        table = {(nu, a): target for nu, row in enumerate(coloring) for a, target in
+                 enumerate(_numbers(row, f"{path}.edge_coloring[{nu}]", r, int))}
         coins = _parse_coins(section.get("coins", {}), n, r, f"{path}.coins")
         star = None
         if "star_vector" in section:
@@ -231,7 +249,7 @@ def _parse_walk(section, path="walk") -> WalkSpec:
 
 def _parse_environment(section, path="environment") -> EnvironmentSpec:
     _check_keys(section, {"m", "unitary", "symbol_functions"}, path)
-    m = int(section.get("m", 1))
+    m = _number(section.get("m", 1), f"{path}.m", int)
     unitary = section.get("unitary", {"kind": "identity"})
     _check_keys(unitary, {"kind", "matrix", "phases", "vectors"}, f"{path}.unitary")
     if unitary.get("kind") == "identity" or (not unitary.get("kind") and "matrix" not in unitary
@@ -242,7 +260,7 @@ def _parse_environment(section, path="environment") -> EnvironmentSpec:
     elif "matrix" in unitary:
         U = _complex_matrix(unitary["matrix"], f"{path}.unitary.matrix")
     elif "phases" in unitary:
-        phases = [float(x) for x in unitary["phases"]]
+        phases = _numbers(unitary["phases"], f"{path}.unitary.phases")
         if "vectors" in unitary:
             X = _complex_matrix(unitary["vectors"], f"{path}.unitary.vectors")
         else:
@@ -264,15 +282,13 @@ def _parse_environment(section, path="environment") -> EnvironmentSpec:
 
 def _parse_disorder(section, path="disorder") -> DisorderModel:
     _check_keys(section, {"t", "r", "n", "distribution", "theta0", "halfwidth", "seed"}, path)
-    return DisorderModel(
-        t=float(section.get("t", 0.0)),
-        r=float(section.get("r", 0.0)),
-        n=int(section.get("n", 0)),
-        distribution=section.get("distribution", "point"),
-        theta0=float(section.get("theta0", 0.0)),
-        halfwidth=float(section.get("halfwidth", 0.0)),
-        seed=_seed(section.get("seed", 0), f"{path}.seed"),
-    )
+    def number(key, kind=float, minimum=None):
+        return _number(section.get(key, 0), f"{path}.{key}", kind, minimum)
+
+    return DisorderModel(t=number("t"), r=number("r"), n=number("n", int),
+                         distribution=section.get("distribution", "point"),
+                         theta0=number("theta0"), halfwidth=number("halfwidth"),
+                         seed=number("seed", int, 0))
 
 
 OPTION_FIELDS = frozenset().union(*COMMAND_OPTIONS.values())
@@ -292,12 +308,17 @@ class ExperimentConfig:
     disorder: DisorderModel | None = None
     options: dict = field(default_factory=dict)
 
+    @cached_property
+    def built_walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(W, psi*)`` from :meth:`WalkSpec.build`, built once per config."""
+        return self.walk.build()
+
     def coupling(self, alpha: float | None = None) -> CouplingSpec:
         if alpha is None:
             if len(self.alpha_values) != 1:
                 raise ConfigError("this command needs a single alpha (not a sweep)")
             alpha = self.alpha_values[0]
-        psi = None if self.walk is None else self.walk.build()[1]
+        psi = None if self.walk is None else self.built_walk[1]
         return CouplingSpec(alpha, self.coupling_v, psi)
 
     @property
@@ -311,7 +332,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     command = data.get("command")
     if command is not None and command not in COMMANDS:
         raise ConfigError(f"config.command: unknown command {command!r}")
-    _seed(data.get("seed", 0), "config.seed")
+    _number(data.get("seed", 0), "config.seed", int, 0)
     options = data.get("options", {})
     _check_keys(options, OPTION_FIELDS, "config.options")
     for key, value in options.items():
@@ -330,9 +351,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         if "alpha" in section and "alpha_sweep" in section:
             raise ConfigError("config.coupling: give alpha or alpha_sweep, not both")
         if "alpha" in section:
-            cfg.alpha_values = [float(section["alpha"])]
+            cfg.alpha_values = [_number(section["alpha"], "config.coupling.alpha")]
         elif isinstance(section.get("alpha_sweep"), list) and section["alpha_sweep"]:
-            cfg.alpha_values = [float(a) for a in section["alpha_sweep"]]
+            cfg.alpha_values = _numbers(section["alpha_sweep"], "config.coupling.alpha_sweep")
         else:
             raise ConfigError("config.coupling: give alpha or a non-empty alpha_sweep")
         if "v" in section:

@@ -22,7 +22,8 @@ secular equation
 one Hermitian eigensolve of ``W``, never by a dense eigensolve of the
 non-normal ``M``.  All asymptotic series downstream are truncated through
 the bound ``||M^t|| <= C q^t`` that one discrete Stein (Lyapunov) solve
-proves (:func:`decay_certificate`).
+proves (:func:`decay_certificate`).  The closed forms read the sample
+through :func:`orbit`: every return amplitude and the Moller block.
 
 The joint one-particle space used by the simulators is a site window of the
 reservoir followed by the sample; see :class:`Window` for the layout.
@@ -51,6 +52,7 @@ __all__ = [
     "decay_certificate",
     "horizon",
     "one_step_joint_operator",
+    "orbit",
     "moller_sample_block",
 ]
 
@@ -400,6 +402,21 @@ def one_step_joint_operator(window: Window, env: EnvironmentSpec, W: np.ndarray,
     return (free @ K).tocsr()
 
 
+def orbit(A: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:
+    """The ``(T, len(x))`` array of rows ``x, A x, ..., A^(T-1) x``.
+
+    Return amplitudes are its rows paired with ``psi*``, as in
+    ``orbit(M, W psi*, T) @ conj(psi*)``.
+    """
+    x = np.asarray(x, dtype=complex)
+    out = np.empty((T, x.shape[0]), dtype=complex)
+    if T:
+        out[0] = x
+    for s in range(1, T):
+        out[s] = A @ out[s - 1]
+    return out
+
+
 def moller_sample_block(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpec,
                         t_max: int | None = None,
                         tail_tol: float = 1e-12) -> tuple[np.ndarray, Window]:
@@ -411,8 +428,12 @@ def moller_sample_block(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingS
         A = i sin(alpha) sum_{t'=0}^{T} (S (x) U)^{t'+1} iota W* (M*)^{t'},
 
     truncated where the decay certificate puts the tail sum below ``tail_tol``.
-    The block identity ``A* Sigma_w A = Delta`` holds for every initial sample
-    symbol, since the sample block of the Moller column vanishes.
+    Term ``t'`` is the block ``U^{t'+1} v (M^{t'} W psi*)^*`` on site
+    ``-(t'+1)``, from the orbits of ``M`` from ``W psi*`` and of ``U`` from
+    ``U v`` (the orbit keeps the powers of ``U`` free of the eigenphase
+    error that ``e^{i t' gamma}`` would multiply by ``t'``).  The block
+    identity ``A* Sigma_w A = Delta`` holds for every initial sample symbol,
+    since the sample block of the Moller column vanishes.
     """
     psi_star = coupling.star()
     contraction = build_contraction(W, psi_star, coupling.alpha)
@@ -420,15 +441,10 @@ def moller_sample_block(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingS
     if t_max is None:
         t_max = contraction.truncation_horizon(tail_tol)
     window = Window(-(t_max + 1), 0, env.m)
-    d = W.shape[0]
+    rows = orbit(contraction.matrix, contraction.W @ psi_star, t_max + 1).conj()
+    Uv = orbit(env.U, env.U @ coupling.v, t_max + 1)
+    d = rows.shape[1]
     A = np.zeros((window.env_dim, d), dtype=complex)
-    # row vector <psi*, W* M*^{t'} .> accumulated by repeated right-multiplication
-    row = psi_star.conj() @ W.conj().T
-    Mstar = contraction.matrix.conj().T
-    Uv = coupling.v
-    for tp in range(t_max + 1):
-        Uv = env.U @ Uv
-        off = window.site_offset(-(tp + 1))
-        A[off:off + env.m, :] += np.outer(Uv, row)
-        row = row @ Mstar
+    # site -(t'+1) sits at block t_max - t' of the window; site 0 stays empty
+    A[:-env.m] = (Uv[::-1, :, None] * rows[::-1, None, :]).reshape(-1, d)
     return 1j * np.sin(coupling.alpha) * A, window

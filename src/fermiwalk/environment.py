@@ -11,6 +11,9 @@ analytic functions
 
 with ``Sigma = sum_i 2 Re F_i(S* (x) U*) (1 (x) pi_i)``.  Coefficient lists
 are finite, which makes the correlation-decay requirement automatic.
+:attr:`EnvironmentSpec.coefficients` is the table ``c[i, l]``; every closed
+form reads the reservoir through it, mostly through the profile
+``B(l) = sum_i w_i c_i(l)`` seen by the coupling vector ``v``.
 
 On the ``i``-th sector ``Sigma`` acts by Fourier multiplication with
 ``g_i(phi) = 2 Re F_i(e^{i phi})``; the admissibility condition ``0 <= Sigma
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 GAP_TOL = 1e-8
+# admissibility slack of validate_symbol: 0 <= g_i <= 1 within this
+SYMBOL_SLACK = 1e-12
 
 
 class ReservoirError(ValueError):
@@ -153,6 +158,14 @@ class EnvironmentSpec:
     def max_degree(self) -> int:
         return max(f.degree for f in self.symbol_functions)
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The ``(m, L_max + 1)`` table ``c[i, l] = c_i(l)``, zero past each sector's degree."""
+        c = np.zeros((self.m, self.max_degree + 1), dtype=complex)
+        for i, f in enumerate(self.symbol_functions):
+            c[i, :len(f.coefficients)] = f.coefficients
+        return c
+
     def projector(self, i: int) -> np.ndarray:
         x = self.eigenvectors[:, i]
         return np.outer(x, x.conj())
@@ -183,17 +196,6 @@ class EnvironmentSpec:
             np.conj(a1[i]) * a2[i] * self.lattice_coefficient(i, k1 - k2)
             for i in range(self.m)))
 
-    def correlation_profile(self, v: np.ndarray, k: int) -> complex:
-        """``B(k) = < delta_0 (x) v, Sigma (S^k delta_0 (x) U^k v) > = sum_i w_i c_i(k)`` for k >= 0."""
-        w = self.weights(v)
-        total = 0.0 + 0.0j
-        for i, f in enumerate(self.symbol_functions):
-            coeffs = f.coefficients
-            if abs(k) <= len(coeffs) - 1:
-                c = coeffs[abs(k)]
-                total += w[i] * (c if k >= 0 else np.conj(c))
-        return complex(total)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -203,11 +205,10 @@ class ValidationReport:
     minima: tuple
     maxima: tuple
     worst_phi: tuple
-    slack: float = 1e-12
 
     def __str__(self):
         lines = [f"symbol validation: {'PASS' if self.passed else 'FAIL'} "
-                 f"(slack {self.slack:g})"]
+                 f"(slack {SYMBOL_SLACK:g})"]
         for i, (lo, hi, phi) in enumerate(zip(self.minima, self.maxima, self.worst_phi)):
             lines.append(f"  sector {i}: min g = {lo:.6g}, max g = {hi:.6g}, worst phi = {phi:.6g}")
         return "\n".join(lines)
@@ -222,7 +223,7 @@ def validate_symbol(spec: EnvironmentSpec) -> ValidationReport:
     ``z^L g_i'(z)``.  ``g_i`` is evaluated at the angles of all its roots
     (and at ``phi = 0``), which gives the exact extrema up to round-off.
     Reports per-sector extrema; passes iff every sector stays inside
-    ``[0, 1]`` within a ``1e-12`` slack.  Violations are reported (with the
+    ``[0, 1]`` within ``SYMBOL_SLACK``.  Violations are reported (with the
     worst angle), not raised.
     """
     minima, maxima, worst = [], [], []
@@ -240,7 +241,7 @@ def validate_symbol(spec: EnvironmentSpec) -> ValidationReport:
         minima.append(lo)
         maxima.append(hi)
         worst.append(float(phi[int(np.argmax(np.maximum(-g, g - 1.0)))]))
-        if lo < -1e-12 or hi > 1.0 + 1e-12:
+        if lo < -SYMBOL_SLACK or hi > 1.0 + SYMBOL_SLACK:
             passed = False
     return ValidationReport(passed, tuple(minima), tuple(maxima), tuple(worst))
 
@@ -257,14 +258,18 @@ def eval_series(F: SymbolFunction, B: np.ndarray) -> np.ndarray:
     nb = _spectral_norm(B)
     if nb > 1.0 + 1e-10:
         raise ReservoirError(f"eval_series needs ||B|| <= 1, got {nb:.12f}")
-    return _series(F, B)
+    return _series(F.coefficients, B)
 
 
-def _series(F: SymbolFunction, B: np.ndarray) -> np.ndarray:
-    """:func:`eval_series` without its checks, for a ``B`` that is a square contraction by construction."""
-    out = (F.coefficients[0] / 2.0) * np.eye(B.shape[0], dtype=complex)
+def _series(coefficients, B: np.ndarray) -> np.ndarray:
+    """``c(0)/2 + sum_l c(l) B^l`` for a coefficient list ``c``.
+
+    :func:`eval_series` without its checks, for a ``B`` that is a square
+    contraction by construction.
+    """
+    out = (coefficients[0] / 2.0) * np.eye(B.shape[0], dtype=complex)
     power = B
-    for ell, c in enumerate(F.coefficients[1:], start=1):
+    for ell, c in enumerate(coefficients[1:], start=1):
         if ell > 1:
             power = power @ B
         out = out + c * power
@@ -313,12 +318,9 @@ def build_truncated_symbol(spec: EnvironmentSpec, window: tuple[int, int]) -> np
     # each m x m block on site offset ell is written in place, so no
     # temporary of out's size is formed (Moller windows reach 10^3 sites)
     blocks = out.reshape(n_sites, m, n_sites, m)
+    X = spec.eigenvectors
     for ell in range(-spec.max_degree, spec.max_degree + 1):
-        block = np.zeros((m, m), dtype=complex)
-        for i in range(m):
-            val = spec.lattice_coefficient(i, ell)
-            if val != 0.0:
-                block += val * spec.projector(i)
+        vals = [spec.lattice_coefficient(i, ell) for i in range(m)]
         rows = sites[max(0, ell):n_sites + min(0, ell)]
-        blocks[rows, :, rows - ell, :] = block
+        blocks[rows, :, rows - ell, :] = (X * vals) @ X.conj().T
     return out

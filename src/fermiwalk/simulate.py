@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import (CouplingError, CouplingSpec, Window, build_contraction,
-                       decay_certificate, horizon, one_step_joint_operator,
+                       decay_certificate, horizon, one_step_joint_operator, orbit,
                        shift_matrix)
 from .environment import EnvironmentSpec, build_truncated_symbol
 from .walk import householder_vector
@@ -157,18 +157,6 @@ class CovarianceState:
         return self.window.joint_sample_vector(np.asarray(psi, dtype=complex))
 
 
-def _sigma_bracket(env: EnvironmentSpec, comps1, comps2) -> complex:
-    """``< phi_1, Sigma phi_2 >`` for finitely supported lattice vectors.
-
-    Each vector is a list of ``(site, internal_vector)`` components.
-    """
-    total = 0.0 + 0.0j
-    for k1, w1 in comps1:
-        for k2, w2 in comps2:
-            total += env.sigma_element(k1, w1, k2, w2)
-    return total
-
-
 def finite_time_pair_expectation(env: EnvironmentSpec, W: np.ndarray,
                                  coupling: CouplingSpec, kind: str,
                                  vec1, vec2, t: int,
@@ -198,51 +186,41 @@ def finite_time_pair_expectation(env: EnvironmentSpec, W: np.ndarray,
         for k, _ in list(vec1) + list(vec2):
             if k < 0:
                 raise CouplingError("bb expectations need vectors supported on sites >= 0")
-        return _sigma_bracket(env, vec2, vec1)
+        return complex(sum(env.sigma_element(k2, w2, k1, w1) for k2, w2 in vec2 for k1, w1 in vec1))
 
-    # return amplitudes g(s) = <psi*, W* M*^{s-1} vec2> for s = 1..t
-    g2 = np.empty(t, dtype=complex)
-    row = psi_star.conj() @ W.conj().T
-    Mstar = M.conj().T
-    vec2 = np.asarray(vec2, dtype=complex)
-    for s in range(t):
-        g2[s] = row @ vec2
-        row = row @ Mstar
+    # g(s) = <psi*, W* M*^{s-1} vec> for s = 1..t, from the rows M^{s-1} W psi*
+    rows = orbit(M, contraction.W @ psi_star, t).conj()
+    g2 = rows @ np.asarray(vec2, dtype=complex)
 
     if kind == "ba":
         for k, _ in vec1:
             if k < 0:
                 raise CouplingError("ba expectations need the reservoir vector in sites >= 0")
-        # term t': conj(g(t')) < (S x U)^{t'} delta_0 x v, Sigma vec1 >; the
-        # bracket vanishes once t' exceeds the coefficient support
-        total = 0.0 + 0.0j
-        Uv = coupling.v
+        # term t': conj(g(t')) < (S x U)^{t'} delta_0 x v, Sigma vec1 >, with
+        # U^{t'} v in row t' - 1; the bracket vanishes once t' exceeds the
+        # coefficient support
         max_site = max(k for k, _ in vec1)
-        for tp in range(1, min(t, env.max_degree + max_site) + 1):
-            Uv = env.U @ Uv
-            bracket = sum(env.sigma_element(-tp, Uv, k, w) for k, w in vec1)
-            total += np.conj(g2[tp - 1]) * bracket
+        Uv = orbit(env.U, env.U @ coupling.v, min(t, env.max_degree + max_site))
+        total = sum(np.conj(g2[tp - 1]) * sum(env.sigma_element(-tp, Uv[tp - 1], k, w)
+                                              for k, w in vec1)
+                    for tp in range(1, len(Uv) + 1))
         return -1j * np.sin(alpha) * total
 
     if kind == "aa":
         vec1 = np.asarray(vec1, dtype=complex)
-        g1 = np.empty(t, dtype=complex)
-        row = psi_star.conj() @ W.conj().T
-        for s in range(t):
-            g1[s] = row @ vec1
-            row = row @ Mstar
+        g1 = rows @ vec1
         xi_term = 0.0 + 0.0j
-        Mt = np.linalg.matrix_power(Mstar, t)
         if sample_symbol is not None:
+            Mt = np.linalg.matrix_power(M.conj().T, t)
             xi_term = np.vdot(Mt @ vec2, np.asarray(sample_symbol, dtype=complex) @ (Mt @ vec1))
-        L = env.max_degree
+        # sum over s', t' of g1(s') conj(g2(t')) B(s' - t'), one band k = s' - t'
+        # at a time, with B(-k) = conj B(k) and B = 0 beyond L
+        B = coupling.weights(env) @ env.coefficients
         series = 0.0 + 0.0j
-        for sprime in range(1, t + 1):
-            lo, hi = max(1, sprime - L), min(t, sprime + L)
-            for tprime in range(lo, hi + 1):
-                B = env.correlation_profile(coupling.v, sprime - tprime)
-                if B != 0.0:
-                    series += np.conj(g2[tprime - 1]) * g1[sprime - 1] * B
+        for k in range(min(env.max_degree, t - 1) + 1):
+            series += np.vdot(g2[:t - k], g1[k:]) * B[k]
+            if k:
+                series += np.vdot(g2[k:], g1[:t - k]) * np.conj(B[k])
         return xi_term + np.sin(alpha) ** 2 * series
 
     raise CouplingError(f"unknown pair-expectation kind {kind!r}")

@@ -11,6 +11,7 @@ from fermiwalk.config import (COMMAND_OPTIONS, COMMANDS, ConfigError, canonical_
                               config_hash, load_config, parse_config)
 from fermiwalk.coupling import MAX_HORIZON
 from fermiwalk.simulate import CovarianceState
+from fermiwalk.walk import WalkSpec
 
 BASE_CONFIG = {
     "walk": {"kind": "cycle", "n": 4,
@@ -125,6 +126,48 @@ class TestConfigParsing:
         path = write_config(tmp_path, cfg)
         assert main([command, "--config", path, "--out", str(tmp_path)] + args) == 2
         assert f"{where}: expected a non-negative integer" in capsys.readouterr().err
+
+    REGULAR = {"kind": "regular_graph", "n": 4, "r": 3, "coins": {"kind": "random"},
+               "edge_coloring": [[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]]}
+    # (field path, command, section, key path inside the section, malformed value)
+    BAD_SCALARS = [
+        ("walk.n", "validate", "walk", ["n"], "four"),
+        ("walk.n", "validate", "walk", ["n"], 4.0),
+        ("walk.r", "validate", "regular", ["r"], "3"),
+        ("walk.edge_coloring[1][2]", "validate", "regular", ["edge_coloring", 1, 2], "2"),
+        ("walk.star_site", "validate", "walk", ["star_site"], "0"),
+        ("walk.star_spin", "validate", "walk", ["star_spin"], True),
+        ("walk.coins.thetas[2]", "validate", "walk", ["coins", "thetas", 2], "a"),
+        ("environment.m", "validate", "environment", ["m"], "1"),
+        ("environment.unitary.phases[0]", "validate", "environment",
+         ["unitary"], {"phases": ["x"]}),
+        ("disorder.t", "disorder_dos", "disorder", ["t"], "a"),
+        ("disorder.r", "disorder_dos", "disorder", ["r"], None),
+        ("disorder.n", "disorder_dos", "disorder", ["n"], 32.5),
+        ("disorder.theta0", "disorder_dos", "disorder", ["theta0"], "a"),
+        ("disorder.halfwidth", "disorder_dos", "disorder", ["halfwidth"], [0.1]),
+        ("config.coupling.alpha", "validate", "coupling", ["alpha"], "x"),
+        ("config.coupling.alpha_sweep[1]", "flux", "coupling", ["alpha_sweep"], [0.5, "x"]),
+    ]
+
+    @pytest.mark.parametrize("path, command, section, keys, value", BAD_SCALARS,
+                             ids=[f"{p}={v!r}".replace(" ", "") for p, _, _, _, v in BAD_SCALARS])
+    def test_bad_scalar_exits_2(self, tmp_path, capsys, path, command, section, keys, value):
+        cfg = json.loads(json.dumps(dict(BASE_CONFIG, disorder=DISORDER, regular=self.REGULAR)))
+        if section == "regular":
+            cfg["walk"] = cfg["regular"]
+            section = "walk"
+        del cfg["regular"]
+        if section == "coupling" and keys == ["alpha_sweep"]:
+            del cfg["coupling"]["alpha"]
+        owner = cfg[section]
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = value
+        path_arg = write_config(tmp_path, cfg)
+        assert main([command, "--config", path_arg, "--out", str(tmp_path)]) == 2
+        assert f"{path}: expected" in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.json").exists()
 
     def test_readme_options_table(self):
         # the table under "Each command reads only its own options"
@@ -437,6 +480,28 @@ def assert_replaced(path, rerun):
         assert rerun() == 0
         assert os.fstat(old.fileno()).st_nlink == 0
         assert old.read() == old_bytes
+
+
+class TestWalkBuiltOnce:
+    @pytest.mark.parametrize("command, extra", [
+        ("flux", {"coupling": {"alpha_sweep": [0.2, 0.4, 0.6, 0.8, 1.0, 1.2]}}),
+        ("asymptotic", {}),
+        ("validate", {}),
+        ("simulate", {"options": {"steps": 3}}),
+        ("oracle_check", {"options": {"steps": 2}}),
+    ])
+    def test_one_build_per_command(self, tmp_path, monkeypatch, command, extra):
+        builds = []
+        build = WalkSpec.build
+
+        def counted(spec):
+            builds.append(spec.kind)
+            return build(spec)
+
+        monkeypatch.setattr(WalkSpec, "build", counted)
+        path = write_config(tmp_path, dict(BASE_CONFIG, **extra))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert builds == ["cycle"]
 
 
 class TestRerunReplacesFiles:
