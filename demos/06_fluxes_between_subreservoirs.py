@@ -30,7 +30,7 @@ for alpha in (0.1, 0.5, 1.0):
 rates = small_alpha_flux_rate(env, np.array([0.5, 0.5]))
 print("small-coupling rates (boundary values):", rates)
 alpha = 1e-3
-phi = flux_expectations(env, W, CouplingSpec(alpha, v, psi), with_rates=False).phi
+phi = flux_expectations(env, W, CouplingSpec(alpha, v, psi)).phi
 print("phi/alpha^2 at alpha = 1e-3:          ", phi / alpha ** 2)
 
 print("\n=== correlated sector: the rate feels the walk ===")
@@ -40,7 +40,7 @@ v2 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
 coup = CouplingSpec(1e-3, v2, psi)
 print("boundary-value rate: ", small_alpha_flux_rate(env2, coup.weights(env2)))
 print("walk-aware rate:     ", small_alpha_flux_rate_walk(env2, W, coup))
-print("phi/alpha^2 measured:", flux_expectations(env2, W, coup, with_rates=False).phi / 1e-6)
+print("phi/alpha^2 measured:", flux_expectations(env2, W, coup).phi / 1e-6)
 
 print("\n=== dynamical confirmation at alpha = pi/4 ===")
 coup = CouplingSpec(np.pi / 4, v2, psi)

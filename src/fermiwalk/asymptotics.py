@@ -184,7 +184,6 @@ class FluxResult:
 
 
 def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpec,
-                      with_rates: bool = True,
                       contraction: ContractionM | None = None) -> FluxResult:
     """Closed-form limiting expectation of the flux into each reservoir sector.
 
@@ -204,7 +203,7 @@ def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpe
     psi = contraction.psi_star
     m = orbit(contraction.matrix, contraction.W @ psi, env.max_degree) @ psi.conj()
     phi = _flux_form(env, w, 2.0 - 2.0 * np.cos(alpha), 2.0 * np.sin(alpha) ** 2, m)
-    rates = small_alpha_flux_rate(env, w) if (with_rates and _weights_nondegenerate(w)) else None
+    rates = small_alpha_flux_rate(env, w) if _weights_nondegenerate(w) else None
     return FluxResult(phi, w, alpha, rates)
 
 
@@ -220,8 +219,8 @@ def _flux_form(env: EnvironmentSpec, w: np.ndarray, k0: float, k1: float, a) -> 
     return w * (k0 * diff[:, 0].real + k1 * np.real(diff[:, 1:].conj() @ a))
 
 
-def _weights_nondegenerate(w: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.all(w > tol) and np.all(w < 1.0 - tol))
+def _weights_nondegenerate(w: np.ndarray) -> bool:
+    return bool(np.all(w > 1e-12) and np.all(w < 1.0 - 1e-12))
 
 
 def small_alpha_flux_rate(env: EnvironmentSpec, weights: np.ndarray) -> np.ndarray:

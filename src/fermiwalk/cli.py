@@ -4,8 +4,10 @@
 
 Commands: validate, asymptotic, flux, profile, simulate, oracle_check,
 disorder_dos, averaged_density, plus ``emit`` to cut plot-ready CSV out of a
-result file.  Results are written as canonical JSON carrying the config hash
-and a provenance block; matrices export as CSV with quoted ``re,im`` cells.
+result file.  Each command's handler returns its results; :func:`run` alone
+writes them, as canonical JSON carrying the config hash and a provenance
+block, followed by the plot CSV of every kind the results carry.  Matrices
+export as CSV with quoted ``re,im`` cells.
 
 Exit codes: 0 success, 2 configuration or validation failure, 3 numerical
 domain error (non-contractive coupling and the like).
@@ -78,34 +80,8 @@ def _write_csv(path: str, header: list, rows):
         writer.writerows(rows)
 
 
-def _result_payload(cfg: ExperimentConfig, command: str, seed: int, threads: int | None,
-                    results: dict) -> dict:
-    return {
-        "command": command,
-        "inputs_hash": cfg.inputs_hash,
-        "provenance": {
-            "tool": "fermiwalk",
-            "version": __version__,
-            "seed": 0 if seed is None else int(seed),
-            "threads": threads if threads else 1,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        },
-        "results": results,
-    }
-
-
-def _write_result(outdir: str, name: str, payload: dict) -> str:
-    path = os.path.join(outdir, name)
-    with _create(path) as fh:
-        fh.write(canonical_json(payload))
-        fh.write("\n")
-    print(path)
-    return path
-
-
 def _cmd_validate(cfg, outdir, seed, threads):
     report = {}
-    ok = True
     if cfg.walk is not None:
         W, psi = cfg.built_walk
         cyclic, gap = is_cyclic(W, psi)
@@ -124,7 +100,6 @@ def _cmd_validate(cfg, outdir, seed, threads):
             "bound": "0 <= 2 Re F_i(e^{i phi}) <= 1",
         }
         if not rep.passed:
-            ok = False
             bad = [i for i, (lo, hi) in enumerate(zip(rep.minima, rep.maxima))
                    if lo < -SYMBOL_SLACK or hi > 1 + SYMBOL_SLACK]
             report["environment"]["violations"] = [
@@ -138,9 +113,7 @@ def _cmd_validate(cfg, outdir, seed, threads):
         }
         if cfg.walk is not None:
             report["coupling"]["contractive"] = build_contraction(W, psi, coup.alpha).contractive
-    payload = _result_payload(cfg, "validate", seed, threads, report)
-    _write_result(outdir, "validate.json", payload)
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return report
 
 
 def _asymptotic_results(cfg):
@@ -160,58 +133,41 @@ def _asymptotic_results(cfg):
         "fluxes": [float(x) for x in flux.phi],
         "rates": None if flux.rates is None else [float(x) for x in flux.rates],
     }
-    n = cfg.walk.n if cfg.walk.kind == "cycle" else None
-    if n is not None:
+    if cfg.walk.kind == "cycle":
         results["profile"] = [float(x) for x in node_profile(state)]
         results["correlations"] = [[float(x) for x in row]
                                    for row in node_correlations(state)]
-    return state, results, n
+    return state, results
 
 
 def _cmd_asymptotic(cfg, outdir, seed, threads):
-    state, results, n = _asymptotic_results(cfg)
-    payload = _result_payload(cfg, "asymptotic", seed, threads, results)
-    path = _write_result(outdir, "asymptotic.json", payload)
-    if n is not None:
-        emit_plot_data(payload, "profile", os.path.join(outdir, "profile.csv"))
-        emit_plot_data(payload, "correlations", os.path.join(outdir, "correlations.csv"))
+    state, results = _asymptotic_results(cfg)
     if cfg.options.get("export_matrices"):
         matrix_to_csv(state.delta, os.path.join(outdir, "delta.csv"))
         matrix_to_csv(state.contraction.matrix, os.path.join(outdir, "contraction.csv"))
-    return EXIT_OK
+    return results
 
 
 def _cmd_profile(cfg, outdir, seed, threads):
-    state, results, n = _asymptotic_results(cfg)
-    if n is None:
+    _, results = _asymptotic_results(cfg)
+    if "profile" not in results:
         raise ConfigError("profile needs a cycle walk")
-    payload = _result_payload(cfg, "profile", seed, threads,
-                              {"alpha": results["alpha"], "profile": results["profile"]})
-    _write_result(outdir, "profile.json", payload)
-    emit_plot_data(payload, "profile", os.path.join(outdir, "profile.csv"))
-    return EXIT_OK
+    return {"alpha": results["alpha"], "profile": results["profile"]}
 
 
 def _cmd_flux(cfg, outdir, seed, threads):
     W, _ = cfg.built_walk
-    rows = []
     records = []
     for alpha in cfg.alpha_values:
-        coup = cfg.coupling(alpha)
-        res = flux_expectations(cfg.environment, W, coup)
+        res = flux_expectations(cfg.environment, W, cfg.coupling(alpha))
         records.append({"alpha": alpha,
                         "phi": [float(x) for x in res.phi],
                         "total": res.total,
                         "rates": None if res.rates is None else
                         [float(x) for x in res.rates]})
-        rows.append([alpha] + [float(x) for x in res.phi])
-    results = {"sweep": records,
-               "weights": list(map(float, cfg.coupling(cfg.alpha_values[0])
-                                   .weights(cfg.environment)))}
-    payload = _result_payload(cfg, "flux", seed, threads, results)
-    _write_result(outdir, "flux.json", payload)
-    emit_plot_data(payload, "flux_vs_alpha", os.path.join(outdir, "flux_vs_alpha.csv"))
-    return EXIT_OK
+    return {"sweep": records,
+            "weights": list(map(float, cfg.coupling(cfg.alpha_values[0])
+                                .weights(cfg.environment)))}
 
 
 def _cmd_simulate(cfg, outdir, seed, threads):
@@ -230,19 +186,15 @@ def _cmd_simulate(cfg, outdir, seed, threads):
         block = cov.sample_block()
         err = float(np.linalg.norm(block - state.delta))
         trace_rows.append([t, float(np.trace(block).real), err])
-    results = {
+    _write_csv(os.path.join(outdir, "simulate_trace.csv"),
+               ["t", "sample_trace", "error_to_delta"], trace_rows)
+    return {
         "steps": steps,
         "window": [window.a, window.b],
         "final_error_to_delta": trace_rows[-1][2],
         "final_sample_block": encode_complex_matrix(cov.sample_block()),
         "convergence": [[int(r[0]), r[2]] for r in trace_rows],
     }
-    payload = _result_payload(cfg, "simulate", seed, threads, results)
-    _write_result(outdir, "simulate.json", payload)
-    _write_csv(os.path.join(outdir, "simulate_trace.csv"),
-               ["t", "sample_trace", "error_to_delta"], trace_rows)
-    emit_plot_data(payload, "convergence", os.path.join(outdir, "convergence.csv"))
-    return EXIT_OK
 
 
 def _cmd_oracle_check(cfg, outdir, seed, threads):
@@ -265,15 +217,12 @@ def _cmd_oracle_check(cfg, outdir, seed, threads):
         dev = float(np.abs(oracle.two_point_matrix() - cov.sigma).max())
         per_step.append([t, dev])
         worst = max(worst, dev)
-    results = {"modes": oracle.D, "steps": steps,
-               "max_two_point_deviation": worst,
-               "deviation_by_step": per_step,
-               "total_number_drift": float(abs(
-                   oracle.total_number()
-                   - float(np.trace(cov.sigma).real)))}
-    payload = _result_payload(cfg, "oracle_check", seed, threads, results)
-    _write_result(outdir, "oracle_check.json", payload)
-    return EXIT_OK
+    return {"modes": oracle.D, "steps": steps,
+            "max_two_point_deviation": worst,
+            "deviation_by_step": per_step,
+            "total_number_drift": float(abs(
+                oracle.total_number()
+                - float(np.trace(cov.sigma).real)))}
 
 
 def _reseeded_model(cfg, seed):
@@ -292,7 +241,7 @@ def _cmd_disorder_dos(cfg, outdir, seed, threads):
     nz = dos.mass > 0
     supported = bool(phases_in_bands(dos.bin_centers[nz], intervals,
                                      dilation=width).all())
-    results = {
+    return {
         "samples": samples, "bins": bins,
         "band_intervals": [[float(lo), float(hi)] for lo, hi in intervals],
         "support_within_bands": supported,
@@ -301,10 +250,6 @@ def _cmd_disorder_dos(cfg, outdir, seed, threads):
                       "mass": [float(x) for x in dos.mass],
                       "stderr": [float(x) for x in dos.stderr]},
     }
-    payload = _result_payload(cfg, "disorder_dos", seed, threads, results)
-    _write_result(outdir, "disorder_dos.json", payload)
-    emit_plot_data(payload, "dos", os.path.join(outdir, "dos.csv"))
-    return EXIT_OK
 
 
 def _cmd_averaged_density(cfg, outdir, seed, threads):
@@ -314,7 +259,7 @@ def _cmd_averaged_density(cfg, outdir, seed, threads):
     samples = cfg.options.get("samples", 50)
     res = averaged_density(model, cfg.environment.symbol_functions[0],
                            cfg.coupling().alpha, samples, threads=threads)
-    results = {
+    return {
         "samples": samples,
         "trace_mean": res.trace_mean, "trace_stderr": res.trace_stderr,
         "dos_mean": res.dos_mean, "dos_stderr": res.dos_stderr,
@@ -323,11 +268,10 @@ def _cmd_averaged_density(cfg, outdir, seed, threads):
         "skipped_samples": res.skipped,
         "skipped_gaps": res.skipped_gaps,
     }
-    payload = _result_payload(cfg, "averaged_density", seed, threads, results)
-    _write_result(outdir, "averaged_density.json", payload)
-    return EXIT_OK
 
 
+# Each handler returns its results dict and writes only the files that are not
+# cut from it (matrix exports, the simulate trace); run writes the rest.
 _HANDLERS = {
     "validate": _cmd_validate,
     "asymptotic": _cmd_asymptotic,
@@ -339,10 +283,19 @@ _HANDLERS = {
     "averaged_density": _cmd_averaged_density,
 }
 
+# plot kind -> the results entry its CSV is cut from
+PLOT_KINDS = {"profile": "profile", "correlations": "correlations",
+              "convergence": "convergence", "dos": "histogram", "flux_vs_alpha": "sweep"}
+
 
 def run(cfg: ExperimentConfig, command: str | None = None, outdir: str | None = None,
         seed: int | None = None, threads: int | None = None) -> int:
-    """Execute a command on a parsed config; returns the process exit code."""
+    """Execute a command on a parsed config; returns the process exit code.
+
+    Writes ``<command>.json`` (config hash, provenance, the handler's
+    results), prints its path, and writes ``<kind>.csv`` for every plot kind
+    whose entry the results carry.
+    """
     command = command or cfg.command
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
@@ -358,10 +311,29 @@ def run(cfg: ExperimentConfig, command: str | None = None, outdir: str | None = 
     os.makedirs(outdir, exist_ok=True)
     if seed is None:
         seed = cfg.raw.get("seed")  # None when the config carries no seed
-    return _HANDLERS[command](cfg, outdir, seed, threads)
-
-
-PLOT_KINDS = ("profile", "correlations", "convergence", "dos", "flux_vs_alpha")
+    results = _HANDLERS[command](cfg, outdir, seed, threads)
+    payload = {
+        "command": command,
+        "inputs_hash": cfg.inputs_hash,
+        "provenance": {
+            "tool": "fermiwalk",
+            "version": __version__,
+            "seed": 0 if seed is None else int(seed),
+            "threads": threads if threads else 1,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        },
+        "results": results,
+    }
+    path = os.path.join(outdir, f"{command}.json")
+    with _create(path) as fh:
+        fh.write(canonical_json(payload))
+        fh.write("\n")
+    print(path)
+    for kind, entry in PLOT_KINDS.items():
+        if entry in results:
+            emit_plot_data(payload, kind, os.path.join(outdir, f"{kind}.csv"))
+    # only validate's results carry an environment check; a failed one exits 2
+    return EXIT_OK if results.get("environment", {}).get("passed", True) else EXIT_VALIDATION
 
 
 def emit_plot_data(result: dict, kind: str, path: str):
@@ -369,31 +341,23 @@ def emit_plot_data(result: dict, kind: str, path: str):
     if kind not in PLOT_KINDS:
         raise ConfigError(f"unknown plot kind {kind!r}")
     results = result.get("results", {})
+    if PLOT_KINDS[kind] not in results:
+        raise ConfigError(f"result carries no {PLOT_KINDS[kind]} data")
     if kind == "profile":
-        if "profile" not in results:
-            raise ConfigError("result carries no profile data")
         _write_csv(path, ["node", "density"],
                    list(enumerate(results["profile"])))
     elif kind == "correlations":
-        if "correlations" not in results:
-            raise ConfigError("result carries no correlation data")
         rows = [[i, j, val] for i, row in enumerate(results["correlations"])
                 for j, val in enumerate(row)]
         _write_csv(path, ["node_a", "node_b", "covariance"], rows)
     elif kind == "convergence":
-        if "convergence" not in results:
-            raise ConfigError("result carries no convergence trace")
         rows = [[t, float(np.log(max(err, 1e-300)))] for t, err in results["convergence"]]
         _write_csv(path, ["t", "log_error"], rows)
     elif kind == "dos":
-        if "histogram" not in results:
-            raise ConfigError("result carries no density-of-states histogram")
         hist = results["histogram"]
         rows = list(zip(hist["theta"], hist["mass"], hist["stderr"]))
         _write_csv(path, ["theta", "mass", "stderr"], rows)
     elif kind == "flux_vs_alpha":
-        if "sweep" not in results:
-            raise ConfigError("result carries no flux sweep")
         m = len(results["sweep"][0]["phi"])
         header = ["alpha"] + [f"phi_{i + 1}" for i in range(m)]
         rows = [[rec["alpha"]] + rec["phi"] for rec in results["sweep"]]

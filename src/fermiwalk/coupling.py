@@ -31,7 +31,7 @@ reservoir followed by the sample; see :class:`Window` for the layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
     "is_cyclic",
     "decay_certificate",
     "horizon",
+    "exchange_rotation",
     "one_step_joint_operator",
     "orbit",
     "moller_sample_block",
@@ -104,10 +105,11 @@ class CouplingSpec:
 class ContractionM:
     """``M = W (1 + (cos alpha - 1) P)`` plus its decay certificate.
 
-    The certificate ``(C, q)`` proves ``||M^t|| <= C q^t`` for every ``t``
-    (see :func:`decay_certificate`); it is solved on first use and cached.
-    ``pole`` is a phase in a spectral gap of ``W``, if the caller knows one
-    (see :func:`~fermiwalk.walk.unitary_spectrum`).
+    The spectral radius and the certificate ``(C, q)``, which proves
+    ``||M^t|| <= C q^t`` for every ``t`` (see :func:`decay_certificate`),
+    are solved on first use and cached.  ``pole`` is a phase in a spectral
+    gap of ``W``, if the caller knows one (see
+    :func:`~fermiwalk.walk.unitary_spectrum`).
     """
 
     matrix: np.ndarray
@@ -115,10 +117,10 @@ class ContractionM:
     psi_star: np.ndarray
     alpha: float
     pole: float | None = None
-    spectral_radius: float = field(init=False)
 
-    def __post_init__(self):
-        self.spectral_radius = spectral_radius(self.W, self.psi_star, self.alpha, self.pole)
+    @cached_property
+    def spectral_radius(self) -> float:
+        return spectral_radius(self.W, self.psi_star, self.alpha, self.pole)
 
     @property
     def contractive(self) -> bool:
@@ -364,20 +366,33 @@ def shift_matrix(n_sites: int, periodic: bool) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n_sites, n_sites))
 
 
+def exchange_rotation(alpha: float) -> np.ndarray:
+    """``exp(-i alpha sigma_x)``: the exchange rotation on the pair ``(delta_0 (x) v, psi*)``."""
+    c, s = np.cos(alpha), np.sin(alpha)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
 def coupling_exponential(window: Window, coupling: CouplingSpec, d: int) -> sp.csr_matrix:
     """``exp(-i alpha (iota + iota*))`` on the joint window space.
 
     Computed in closed form on the invariant plane spanned by
-    ``delta_0 (x) v`` and ``psi*``: the sparse rank-2 rotation
-    ``1 + Vc C Vc^H`` with ``Vc = [delta_0 (x) v | psi*]``; identity elsewhere.
+    ``delta_0 (x) v`` and ``psi*``: the sparse rank-2 update
+    ``1 + Vc (R - 1) Vc^H`` with ``Vc = [delta_0 (x) v | psi*]`` and ``R``
+    the :func:`exchange_rotation`; identity elsewhere.
     """
-    alpha = coupling.alpha
     Vc = sp.csr_matrix(np.stack([window.joint_env_vector(0, coupling.v, d),
                                  window.joint_sample_vector(coupling.star())], axis=1))
-    C = sp.csr_matrix(np.array([[np.cos(alpha) - 1.0, -1j * np.sin(alpha)],
-                                [-1j * np.sin(alpha), np.cos(alpha) - 1.0]]))
+    C = sp.csr_matrix(exchange_rotation(coupling.alpha) - np.eye(2))
     N = window.joint_dim(d)
     return sp.identity(N, format="csr", dtype=complex) + Vc @ C @ Vc.conj().T
+
+
+def _free_step(window: Window, env: EnvironmentSpec, W: np.ndarray,
+               periodic: bool) -> sp.csr_matrix:
+    """The uncoupled step ``S_w (x) U  (+)  W`` on the windowed joint space."""
+    S_w = shift_matrix(window.n_sites, periodic)
+    return sp.block_diag([sp.kron(S_w, sp.csr_matrix(env.U)), sp.csr_matrix(W)],
+                         format="csr")
 
 
 def one_step_joint_operator(window: Window, env: EnvironmentSpec, W: np.ndarray,
@@ -394,12 +409,8 @@ def one_step_joint_operator(window: Window, env: EnvironmentSpec, W: np.ndarray,
     if boundary not in ("open", "periodic"):
         raise CouplingError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     W = np.asarray(W, dtype=complex)
-    d = W.shape[0]
-    S_w = shift_matrix(window.n_sites, periodic=(boundary == "periodic"))
-    free = sp.block_diag(
-        [sp.kron(S_w, sp.csr_matrix(env.U)), sp.csr_matrix(W)], format="csr")
-    K = coupling_exponential(window, coupling, d)
-    return (free @ K).tocsr()
+    free = _free_step(window, env, W, boundary == "periodic")
+    return (free @ coupling_exponential(window, coupling, W.shape[0])).tocsr()
 
 
 def orbit(A: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:

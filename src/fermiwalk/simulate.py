@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .coupling import (CouplingError, CouplingSpec, Window, build_contraction,
-                       decay_certificate, horizon, one_step_joint_operator, orbit,
-                       shift_matrix)
+from .coupling import (CouplingError, CouplingSpec, Window, _free_step, build_contraction,
+                       coupling_exponential, decay_certificate, exchange_rotation, horizon,
+                       one_step_joint_operator, orbit)
 from .environment import EnvironmentSpec, build_truncated_symbol
 from .walk import householder_vector
 
@@ -227,30 +227,16 @@ def finite_time_pair_expectation(env: EnvironmentSpec, W: np.ndarray,
 
 
 def flux_finite_time(state: CovarianceState, i: int) -> float:
-    """Expectation of the flux observable into sector ``i`` on the current state.
+    """Expectation of the flux into sector ``i`` over the next step, on the current state.
 
-    Evaluates all six quadratic terms of the flux observable (same-species
-    operator ordering) as a quadratic form on the joint covariance.
+    The free step conserves the particle number of every sector; only the
+    coupling rotation ``K`` moves particles, and only through site 0.  With
+    ``u = delta_0 (x) x_i`` the flux is therefore
+    ``<K* u, Sigma K* u> - <u, Sigma u>``.
     """
-    env, coupling = state.env, state.coupling
-    alpha = coupling.alpha
-    w = coupling.weights(env)[i]
-    pi_v = env.projector(i) @ coupling.v
-    u_v = state.env_vector(0, coupling.v)
-    u_pi = state.env_vector(0, pi_v)
-    s = state.sample_vector(coupling.star())
-
-    def S(f, g):
-        return state.pair_expectation(f, g)
-
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    value = ((ca - 1.0) ** 2 * w * S(u_v, u_v)
-             + (ca - 1.0) * S(u_pi, u_v)
-             + (ca - 1.0) * S(u_v, u_pi)
-             + sa ** 2 * w * S(s, s)
-             + 1j * sa * (ca - 1.0) * w * (S(s, u_v) - S(u_v, s))
-             + 1j * sa * (S(s, u_pi) - S(u_pi, s)))
-    return float(np.real(value))
+    u = state.env_vector(0, state.env.eigenvectors[:, i])
+    Ku = coupling_exponential(state.window, state.coupling, state.d).conj().T @ u
+    return float(np.real(state.pair_expectation(Ku, Ku) - state.pair_expectation(u, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +359,11 @@ class FockOracle:
             _reflector(window.joint_env_vector(0, coupling.v, 0), E - 1),
             _reflector(coupling.star(), 0))
 
-        S_circ_U = np.kron(shift_matrix(window.n_sites, periodic=True).toarray(), env.U)
-        V = Q.conj().T @ scipy.linalg.block_diag(S_circ_U, W) @ Q
+        V = Q.conj().T @ _free_step(window, env, W, periodic=True).toarray() @ Q
         self.G_E = gamma_blocks(V[:E, :E])
         self.G_S = gamma_blocks(V[E:, E:])
-        alpha = coupling.alpha
-        self.k4 = np.array([[1, 0, 0, 0],
-                            [0, np.cos(alpha), -1j * np.sin(alpha), 0],
-                            [0, -1j * np.sin(alpha), np.cos(alpha), 0],
-                            [0, 0, 0, 1]], dtype=complex)
+        # the coupling on the oracle modes E-1, E, i.e. delta_0 (x) v and psi*
+        self.k4 = gamma_dense(exchange_rotation(coupling.alpha))
 
         if ensemble is not None:
             # user-supplied mixture of pure many-body states (amplitudes over

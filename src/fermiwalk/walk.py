@@ -81,14 +81,14 @@ def random_coin(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def check_unitary(mat: np.ndarray, tol: float = UNITARITY_TOL, what: str = "matrix") -> None:
-    """Raise :class:`WalkError` unless ``mat^* mat = 1`` within ``tol``."""
+def check_unitary(mat: np.ndarray, what: str = "matrix") -> None:
+    """Raise :class:`WalkError` unless ``mat^* mat = 1`` within ``UNITARITY_TOL``."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise WalkError(f"{what} must be square, got shape {mat.shape}")
     dev = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
-    if dev > tol:
-        raise WalkError(f"{what} is not unitary: ||C*C - 1|| = {dev:.3e} > {tol:.1e}")
+    if dev > UNITARITY_TOL:
+        raise WalkError(f"{what} is not unitary: ||C*C - 1|| = {dev:.3e} > {UNITARITY_TOL:.1e}")
 
 
 def cycle_index(n: int, nu: int, tau: int) -> int:
@@ -249,14 +249,6 @@ class WalkSpec:
         if abs(nrm - 1.0) > 1e-10:
             raise WalkError(f"star vector must be normalised, got ||psi*|| = {nrm:.6f}")
         return W, psi
-
-    @property
-    def dimension(self) -> int:
-        if self.kind == "cycle":
-            return 2 * self.n
-        if self.kind == "regular_graph":
-            return self.n * self.r
-        return self.matrix.shape[0]
 
 
 def householder_vector(x: np.ndarray, k: int) -> np.ndarray | None:

@@ -212,21 +212,19 @@ def test_criterion_6_flux_suite():
     weights = np.array([0.5, 0.5])
     rates = small_alpha_flux_rate(env_const, weights)
     alpha = 1e-3
-    phi = flux_expectations(env_const, W, CouplingSpec(alpha, v, psi),
-                            with_rates=False).phi
+    phi = flux_expectations(env_const, W, CouplingSpec(alpha, v, psi)).phi
     rate_dev = np.abs(phi / alpha ** 2 - rates)
     assert (rate_dev <= 0.01 * np.abs(rates)).all()
 
     # correlated reservoir: the walk-aware rate is the true limit
     coup_small = CouplingSpec(1e-3, V2, psi)
     rates_walk = small_alpha_flux_rate_walk(env2, W, coup_small)
-    phi_small = flux_expectations(env2, W, coup_small, with_rates=False).phi
+    phi_small = flux_expectations(env2, W, coup_small).phi
     assert np.abs(phi_small / 1e-6 - rates_walk).max() <= 0.01 * np.abs(rates_walk).max()
 
     # sign of the flux from the boundary values, for small alpha
     for a in (0.02, 0.05, 0.1):
-        phi_a = flux_expectations(env_const, W, CouplingSpec(a, v, psi),
-                                  with_rates=False).phi
+        phi_a = flux_expectations(env_const, W, CouplingSpec(a, v, psi)).phi
         assert np.sign(phi_a[0]) == np.sign(0.25 - 0.15)
         assert np.sign(phi_a[1]) == -np.sign(0.25 - 0.15)
 

@@ -163,7 +163,7 @@ class TestProperties:
     @given(random_instances())
     def test_fluxes_balance(self, instance):
         env, W, coup = instance
-        res = flux_expectations(env, W, coup, with_rates=False)
+        res = flux_expectations(env, W, coup)
         spr = build_contraction(W, coup.star(), coup.alpha).spectral_radius
         assert abs(res.total) <= roundoff(W.shape[0], spr)
 
@@ -349,7 +349,7 @@ class TestFlux:
         env = env_m2()
         coup = CouplingSpec(1e-3, V2, psi)
         rates = small_alpha_flux_rate_walk(env, W, coup)
-        res = flux_expectations(env, W, coup, with_rates=False)
+        res = flux_expectations(env, W, coup)
         assert np.abs(res.phi / 1e-6 - rates).max() <= 1e-3 * np.abs(rates).max()
         assert abs(rates.sum()) <= 1e-12
 
@@ -372,7 +372,7 @@ class TestFlux:
         # closed form's internal consistency across alphas
         W, psi = rotation_walk(THETAS4)
         env = env_m2()
-        phis = [flux_expectations(env, W, CouplingSpec(a, V2, psi), with_rates=False).phi
+        phis = [flux_expectations(env, W, CouplingSpec(a, V2, psi)).phi
                 for a in (0.2, 0.4)]
         assert abs(phis[1][0]) > abs(phis[0][0])
 

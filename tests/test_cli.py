@@ -6,7 +6,7 @@ import stat
 import numpy as np
 import pytest
 
-from fermiwalk.cli import main, matrix_to_csv
+from fermiwalk.cli import main, matrix_to_csv, run
 from fermiwalk.config import (COMMAND_OPTIONS, COMMANDS, ConfigError, canonical_json,
                               config_hash, load_config, parse_config)
 from fermiwalk.coupling import MAX_HORIZON
@@ -471,6 +471,43 @@ class TestCommands:
         with open(out_csv) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["node", "density"]
+
+
+RAW_WALK = {"kind": "raw", "matrix": [[0, 1], [1, 0]], "star_vector": [0.6, 0.8]}
+AVERAGED = {"environment": BASE_CONFIG["environment"], "coupling": {"alpha": 0.3},
+            "disorder": dict(DISORDER, distribution="uniform", halfwidth=0.05, seed=1)}
+
+
+class TestFileSets:
+    """Each command writes exactly the files of README's table into ``--out``."""
+
+    @pytest.mark.parametrize("command, extra, code, files", [
+        ("validate", {}, 0, {"validate.json"}),
+        ("validate", {"options": {"export_matrices": True}}, 0,
+         {"validate.json", "walk_matrix.csv"}),
+        ("validate", {"environment": {"m": 1, "symbol_functions": [{"coefficients": [0.5, 1.0]}]},
+                      "options": {"export_matrices": False}}, 2, {"validate.json"}),
+        ("asymptotic", {}, 0, {"asymptotic.json", "profile.csv", "correlations.csv"}),
+        ("asymptotic", {"options": {"export_matrices": True}}, 0,
+         {"asymptotic.json", "profile.csv", "correlations.csv", "delta.csv", "contraction.csv"}),
+        ("asymptotic", {"walk": RAW_WALK}, 0, {"asymptotic.json"}),
+        ("flux", {}, 0, {"flux.json", "flux_vs_alpha.csv"}),
+        ("profile", {}, 0, {"profile.json", "profile.csv"}),
+        ("simulate", {"options": {"steps": 3}}, 0,
+         {"simulate.json", "simulate_trace.csv", "convergence.csv"}),
+        ("oracle_check", {"options": {"steps": 2}}, 0, {"oracle_check.json"}),
+        ("disorder_dos", {"disorder": DISORDER, "options": {"samples": 4, "bins": 16}}, 0,
+         {"disorder_dos.json", "dos.csv"}),
+        ("averaged_density", dict(AVERAGED, options={"samples": 4}), 0,
+         {"averaged_density.json"}),
+    ], ids=["validate", "validate-export", "validate-bad-symbol", "asymptotic",
+            "asymptotic-export", "asymptotic-raw-walk", "flux", "profile", "simulate",
+            "oracle_check", "disorder_dos", "averaged_density"])
+    def test_command_writes_its_files(self, tmp_path, command, extra, code, files):
+        out = tmp_path / "out"
+        cfg = load_config(write_config(tmp_path, dict(BASE_CONFIG, **extra)))
+        assert run(cfg, command=command, outdir=str(out)) == code
+        assert set(os.listdir(out)) == files
 
 
 def assert_replaced(path, rerun):

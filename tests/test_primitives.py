@@ -144,7 +144,7 @@ class TestFluxForms:
                        + 2 * np.sin(alpha) ** 2 * np.real(np.conj(B[1:] - c[1:]) @ m_t))
                for i, c in enumerate(coeffs)]
         tol = 4 * (L + 1) * m * EPS
-        assert np.abs(flux_expectations(env, W, coup, with_rates=False).phi - phi).max() <= tol
+        assert np.abs(flux_expectations(env, W, coup).phi - phi).max() <= tol
         if m > 1 and np.all((w > 1e-12) & (w < 1 - 1e-12)):
             rate = [w[i] * ((B[0] - c[0]).real + 2 * np.real(np.conj(B[1:] - c[1:]) @ u_t))
                     for i, c in enumerate(coeffs)]

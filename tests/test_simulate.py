@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fermiwalk.asymptotics import PoissonBinomial, asymptotic_symbol, flux_expectations
 from fermiwalk.coupling import (CouplingError, CouplingSpec, Window, build_contraction,
-                                one_step_joint_operator, shift_matrix)
+                                exchange_rotation, one_step_joint_operator, shift_matrix)
 from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
                                    build_truncated_symbol)
 from fermiwalk.simulate import (CovarianceState, FockOracle, _reflector,
@@ -315,22 +315,29 @@ class TestFluxFiniteTime:
         assert abs(flux_finite_time(state, 0)) <= 1e-8
 
     def test_six_terms_equal_rank_one_difference_form(self):
-        # the flux observable telescopes to c*(g)c(g) - c*(h)c(h); both
-        # evaluations must coincide on any state of the joint window
+        # the flux observable expanded by hand into its six quadratic terms
+        # (same-species operator ordering) is the reference for the
+        # rank-one difference form that flux_finite_time evaluates
         env = env_m2()
         W, psi = rotation_walk()
         alpha = 0.9
         coup = CouplingSpec(alpha, V2, psi)
         state = CovarianceState(Window(-3, 12, 2), env, W, coup)
         state.step(7)
+        S = state.pair_expectation
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        u_v = state.env_vector(0, coup.v)
+        s = state.sample_vector(psi)
         for i in range(2):
-            beta = np.vdot(env.eigenvectors[:, i], coup.v)
-            g = (state.env_vector(0, coup.v * (np.cos(alpha) - 1) * np.conj(beta))
-                 + state.env_vector(0, env.eigenvectors[:, i])
-                 + 1j * np.sin(alpha) * np.conj(beta) * state.sample_vector(psi))
-            h = state.env_vector(0, env.eigenvectors[:, i])
-            direct = np.real(state.pair_expectation(g, g) - state.pair_expectation(h, h))
-            assert flux_finite_time(state, i) == pytest.approx(direct, abs=1e-13)
+            w = coup.weights(env)[i]
+            u_pi = state.env_vector(0, env.projector(i) @ coup.v)
+            six = ((ca - 1.0) ** 2 * w * S(u_v, u_v)
+                   + (ca - 1.0) * S(u_pi, u_v)
+                   + (ca - 1.0) * S(u_v, u_pi)
+                   + sa ** 2 * w * S(s, s)
+                   + 1j * sa * (ca - 1.0) * w * (S(s, u_v) - S(u_v, s))
+                   + 1j * sa * (S(s, u_pi) - S(u_pi, s)))
+            assert flux_finite_time(state, i) == pytest.approx(np.real(six), abs=1e-13)
 
     def test_two_sector_flux_converges_to_closed_form(self):
         env = env_m2()
@@ -544,6 +551,14 @@ class TestFockOracle:
         expected = gamma_dense(oracle.Q.conj().T @ T @ oracle.Q) @ oracle.states
         oracle.step()
         assert np.abs(oracle.states - expected).max() <= 1e-13
+
+    def test_coupling_kernel_is_the_second_quantised_exchange_rotation(self):
+        # Gamma(R(alpha)) on the occupations 00, 01, 10, 11 of the modes
+        # E-1, E against the kernel written out by hand
+        for alpha in np.linspace(0.0, 3.2, 201):
+            c, s = np.cos(alpha), np.sin(alpha)
+            k4 = np.array([[1, 0, 0, 0], [0, c, -1j * s, 0], [0, -1j * s, c, 0], [0, 0, 0, 1]])
+            assert np.abs(gamma_dense(exchange_rotation(alpha)) - k4).max() <= 1e-15
 
     @pytest.mark.parametrize("m, a, b", [(1, -2, 1), (2, -1, 1)])
     def test_step_equals_dense_factors(self, m, a, b):

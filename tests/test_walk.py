@@ -146,7 +146,6 @@ def test_walk_spec_roundtrip():
     W, psi = spec.build()
     assert W.shape == (8, 8)
     assert np.allclose(psi, cycle_star_vector(4))
-    assert spec.dimension == 8
 
     raw = WalkSpec(kind="raw", matrix=np.eye(2), star_vector=np.array([0.0, 1.0]))
     W2, psi2 = raw.build()
