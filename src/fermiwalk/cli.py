@@ -31,13 +31,13 @@ from .asymptotics import (asymptotic_symbol, flux_expectations,
                           particle_number_distribution)
 from .config import (COMMAND_OPTIONS, COMMAND_SECTIONS, COMMANDS, ConfigError,
                      ExperimentConfig, canonical_json, encode_complex_matrix, load_config)
-from .coupling import CouplingError, Window, build_contraction, is_cyclic
+from .coupling import SPR_MAX, CouplingError, Window, is_cyclic, spectral_radius
 from .disorder import (averaged_density, density_of_states,
                        enlarged_band_intervals, exact_band_intervals,
                        phases_in_bands)
 from .environment import SYMBOL_SLACK, ReservoirError, validate_symbol
 from .simulate import CovarianceState, FockOracle
-from .walk import WalkError
+from .walk import WalkError, check_unitary
 
 __all__ = ["main", "run", "emit_plot_data", "matrix_to_csv"]
 
@@ -85,8 +85,8 @@ def _cmd_validate(cfg, outdir, seed, threads):
     if cfg.walk is not None:
         W, psi = cfg.built_walk
         cyclic, gap = is_cyclic(W, psi)
-        unit_dev = float(np.linalg.norm(W.conj().T @ W - np.eye(W.shape[0])))
-        report["walk"] = {"dimension": W.shape[0], "unitarity_deviation": unit_dev,
+        report["walk"] = {"dimension": W.shape[0],
+                          "unitarity_deviation": float(check_unitary(W, "walk matrix", "W")),
                           "cyclic": bool(cyclic), "cyclic_gap": gap}
         if cfg.options.get("export_matrices"):
             matrix_to_csv(W, os.path.join(outdir, "walk_matrix.csv"))
@@ -112,7 +112,7 @@ def _cmd_validate(cfg, outdir, seed, threads):
             "weights": list(map(float, coup.weights(cfg.environment))),
         }
         if cfg.walk is not None:
-            report["coupling"]["contractive"] = build_contraction(W, psi, coup.alpha).contractive
+            report["coupling"]["contractive"] = spectral_radius(W, psi, coup.alpha) < SPR_MAX
     return report
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from .coupling import CouplingSpec
 from .disorder import DisorderModel
 from .environment import EnvironmentSpec, SymbolFunction
-from .walk import WalkSpec, cycle_star_vector, hadamard_coin, random_coin, rotation_coin
+from .walk import (WalkSpec, check_unit_vector, cycle_star_vector, hadamard_coin, random_coin,
+                   rotation_coin)
 
 __all__ = [
     "ConfigError",
@@ -212,13 +213,13 @@ def _parse_walk(section, path="walk") -> WalkSpec:
     _check_keys(section, {"kind", "n", "r", "coins", "edge_coloring", "matrix",
                           "star_site", "star_spin", "star_vector"}, path)
     kind = section.get("kind")
+    star = None
+    if "star_vector" in section:
+        star = _complex_vector(section["star_vector"], f"{path}.star_vector")
     if kind == "cycle":
         n = _number(section.get("n", 0), f"{path}.n", int)
         coins = _parse_coins(section.get("coins", {}), n, 2, f"{path}.coins")
-        star = None
-        if "star_vector" in section:
-            star = _complex_vector(section["star_vector"], f"{path}.star_vector")
-        elif "star_site" in section or "star_spin" in section:
+        if star is None and ("star_site" in section or "star_spin" in section):
             site = _number(section.get("star_site", 0), f"{path}.star_site", int)
             star = cycle_star_vector(n, site, _number(section.get("star_spin", -1),
                                                       f"{path}.star_spin", int))
@@ -232,18 +233,13 @@ def _parse_walk(section, path="walk") -> WalkSpec:
         table = {(nu, a): target for nu, row in enumerate(coloring) for a, target in
                  enumerate(_numbers(row, f"{path}.edge_coloring[{nu}]", r, int))}
         coins = _parse_coins(section.get("coins", {}), n, r, f"{path}.coins")
-        star = None
-        if "star_vector" in section:
-            star = _complex_vector(section["star_vector"], f"{path}.star_vector")
         return WalkSpec(kind="regular_graph", n=n, r=r, coins=coins,
                         edge_coloring=table, star_vector=star)
     if kind == "raw":
-        if "matrix" not in section or "star_vector" not in section:
+        if "matrix" not in section or star is None:
             raise ConfigError(f"{path}: raw walks need matrix and star_vector")
-        return WalkSpec(kind="raw",
-                        matrix=_complex_matrix(section["matrix"], f"{path}.matrix"),
-                        star_vector=_complex_vector(section["star_vector"],
-                                                    f"{path}.star_vector"))
+        return WalkSpec(kind="raw", star_vector=star,
+                        matrix=_complex_matrix(section["matrix"], f"{path}.matrix"))
     raise ConfigError(f"{path}.kind: unknown walk kind {kind!r}")
 
 
@@ -357,7 +353,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         else:
             raise ConfigError("config.coupling: give alpha or a non-empty alpha_sweep")
         if "v" in section:
-            v = _complex_vector(section["v"], "config.coupling.v")
+            v = check_unit_vector(_complex_vector(section["v"], "config.coupling.v"),
+                                  "config.coupling.v", ConfigError)
         elif cfg.environment is None:
             raise ConfigError("config.environment: needed for the default coupling.v")
         elif cfg.environment.m != 1:

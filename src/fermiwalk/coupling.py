@@ -39,7 +39,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .environment import EnvironmentSpec
-from .walk import check_unitary, chiral_spectrum
+from .walk import check_unit_vector, chiral_spectrum
 
 __all__ = [
     "CouplingError",
@@ -81,15 +81,10 @@ class CouplingSpec:
     psi_star: np.ndarray | None = None
 
     def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(self.v)
-        if abs(nrm - 1.0) > 1e-10:
-            raise CouplingError(f"v must be a unit vector, got ||v|| = {nrm:.8f}")
+        self.v = check_unit_vector(self.v, "v", CouplingError)
         self.alpha = float(self.alpha)
         if self.psi_star is not None:
-            self.psi_star = np.asarray(self.psi_star, dtype=complex).reshape(-1)
-            if abs(np.linalg.norm(self.psi_star) - 1.0) > 1e-10:
-                raise CouplingError("psi* must be a unit vector")
+            self.psi_star = check_unit_vector(self.psi_star, "psi*", CouplingError)
 
     def star(self) -> np.ndarray:
         if self.psi_star is None:
@@ -156,13 +151,11 @@ def build_contraction(W: np.ndarray, psi_star: np.ndarray, alpha: float,
     ``P`` has rank one, so ``M = W + (cos alpha - 1) (W psi*) psi*^H``: one
     matrix-vector product and one outer product, O(d^2).  ``pole``, a phase
     in a known spectral gap of ``W``, saves the spectral-radius solve the
-    search for one.
+    search for one.  ``W`` unitary and ``psi*`` a unit vector are assumed, not
+    re-checked (pass a hand-built ``W`` through :func:`~fermiwalk.walk.check_unitary`).
     """
     W = np.asarray(W, dtype=complex)
     psi_star = np.asarray(psi_star, dtype=complex).reshape(-1)
-    check_unitary(W, what="walk unitary")
-    if abs(np.linalg.norm(psi_star) - 1.0) > 1e-10:
-        raise CouplingError("psi* must be a unit vector")
     M = W + np.outer((np.cos(alpha) - 1.0) * (W @ psi_star), psi_star.conj())
     return ContractionM(M, W, psi_star, float(alpha), pole)
 
@@ -196,8 +189,9 @@ def is_cyclic(W: np.ndarray, psi: np.ndarray) -> tuple[bool, float]:
     simple and has a weight ``w_k > 0``, that is when ``spr < 1``, and
     ``1 - spr`` is of the order of ``min_k w_k``.  At a small ``alpha`` the
     gap shrinks like ``sin^2(alpha/2)``, so a cyclic ``psi`` may fail there.
+    ``W`` and ``psi`` are assumed as in :func:`build_contraction`, and ``M`` is not formed.
     """
-    spr = build_contraction(W, psi, 0.5 * np.pi).spectral_radius
+    spr = spectral_radius(W, psi, 0.5 * np.pi)
     return spr < SPR_MAX, 1.0 - spr
 
 

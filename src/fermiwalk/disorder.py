@@ -26,7 +26,8 @@ import numpy as np
 
 from .coupling import CouplingError, build_contraction
 from .environment import SymbolFunction
-from .walk import WalkError, build_cycle_walk, cycle_star_vector, unitary_spectrum
+from .walk import (WalkError, _cycle_rows, _hop_after_coin, check_unitary, cycle_star_vector,
+                   unitary_spectrum)
 
 # how far a custom phase may stray outside theta0 +- halfwidth by round-off
 SUPPORT_SLACK = 1e-12
@@ -66,8 +67,9 @@ class DisorderModel:
     inverse_cdf: object = None
 
     def __post_init__(self):
-        if abs(self.t ** 2 + self.r ** 2 - 1.0) > 1e-12:
-            raise WalkError(f"need t^2 + r^2 = 1, got {self.t ** 2 + self.r ** 2}")
+        # every coin is diag(e^{-i w-}, e^{-i w+}) K: this is each draw's coin check
+        check_unitary(np.array([[self.t, self.r], [-self.r, self.t]]),
+                      f"[[t, r], [-r, t]] with t^2 + r^2 = {self.t ** 2 + self.r ** 2}", "K")
         if self.t * self.r == 0.0:
             raise WalkError("need t r != 0 (both transition amplitudes present)")
         if self.distribution not in ("point", "uniform", "custom"):
@@ -133,9 +135,9 @@ def disordered_coin(t: float, r: float, w_plus, w_minus) -> np.ndarray:
 
 
 def sample_disordered_walk(model: DisorderModel, sample_index: int = 0) -> np.ndarray:
-    """Draw one ring walk ``W(omega)``; deterministic in ``(model.seed, sample_index)``."""
+    """One ring walk ``W(omega)``, deterministic in ``(seed, sample_index)``; no coin check."""
     plus, minus = model.sample_phases(sample_index)
-    return build_cycle_walk(model.n, disordered_coin(model.t, model.r, plus, minus))
+    return _hop_after_coin(_cycle_rows(model.n), disordered_coin(model.t, model.r, plus, minus))
 
 
 @dataclass

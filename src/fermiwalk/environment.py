@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .walk import check_unitary
+
 __all__ = [
     "ReservoirError",
     "SymbolFunction",
@@ -131,12 +133,8 @@ class EnvironmentSpec:
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=complex)
-        if U.ndim != 2 or U.shape[0] != U.shape[1] or not U.size:
-            raise ReservoirError(f"U must be square and non-empty, got shape {U.shape}")
+        check_unitary(U, "U", "U", ReservoirError)
         m = U.shape[0]
-        dev = np.linalg.norm(U.conj().T @ U - np.eye(m))
-        if dev > 1e-12:
-            raise ReservoirError(f"U is not unitary: ||U*U - 1|| = {dev:.3e}")
         if len(self.symbol_functions) != m:
             raise ReservoirError(
                 f"need one symbol function per sector: m = {m}, got {len(self.symbol_functions)}")

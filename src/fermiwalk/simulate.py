@@ -177,17 +177,15 @@ def finite_time_pair_expectation(env: EnvironmentSpec, W: np.ndarray,
     empty sample); with that convention the sums are exact, with no residual
     error term.
     """
-    alpha = coupling.alpha
-    psi_star = coupling.star()
-    contraction = build_contraction(W, psi_star, alpha)
-    M = contraction.matrix
-
     if kind == "bb":
         for k, _ in list(vec1) + list(vec2):
             if k < 0:
                 raise CouplingError("bb expectations need vectors supported on sites >= 0")
         return complex(sum(env.sigma_element(k2, w2, k1, w1) for k2, w2 in vec2 for k1, w1 in vec1))
 
+    alpha, psi_star = coupling.alpha, coupling.star()
+    contraction = build_contraction(W, psi_star, alpha)
+    M = contraction.matrix
     # g(s) = <psi*, W* M*^{s-1} vec> for s = 1..t, from the rows M^{s-1} W psi*
     rows = orbit(M, contraction.W @ psi_star, t).conj()
     g2 = rows @ np.asarray(vec2, dtype=complex)

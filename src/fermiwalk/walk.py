@@ -43,6 +43,7 @@ __all__ = [
     "cycle_index",
     "cycle_star_vector",
     "check_unitary",
+    "check_unit_vector",
     "unitary_spectrum",
     "chiral_square",
     "chiral_spectrum",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-12
+UNIT_NORM_TOL = 1e-10
 # chord distance from the Cayley pole below which a computed eigenvalue
 # triggers one re-centred solve (phase errors then stay near 1e-14)
 POLE_CLEARANCE = 0.05
@@ -81,14 +83,32 @@ def random_coin(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def check_unitary(mat: np.ndarray, what: str = "matrix") -> None:
-    """Raise :class:`WalkError` unless ``mat^* mat = 1`` within ``UNITARITY_TOL``."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise WalkError(f"{what} must be square, got shape {mat.shape}")
-    dev = np.linalg.norm(mat.conj().T @ mat - np.eye(mat.shape[0]))
-    if dev > UNITARITY_TOL:
-        raise WalkError(f"{what} is not unitary: ||C*C - 1|| = {dev:.3e} > {UNITARITY_TOL:.1e}")
+def check_unitary(A: np.ndarray, what: str = "matrix", letter: str = "A",
+                  error: type[Exception] = WalkError) -> float | np.ndarray:
+    """``||A* A - 1||_F`` of a matrix, or of each matrix of a stack: the one unitarity check.
+
+    Made where a coin, a raw walk or ``U`` enters.  Raises ``error`` above
+    ``UNITARITY_TOL`` (NaN too), naming ``what`` and a stack's first bad index.
+    """
+    A = np.asarray(A)
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1] or not A.size:
+        raise error(f"{what} must be square and non-empty, got shape {A.shape}")
+    gram = A.conj().swapaxes(-1, -2) @ A - np.eye(A.shape[-1])
+    dev = np.linalg.norm(gram, axis=None if A.ndim == 2 else (-2, -1))
+    bad = np.flatnonzero(~(np.ravel(dev) <= UNITARITY_TOL))
+    if bad.size:
+        name = f"{what} {bad[0]}" if A.ndim > 2 else what
+        raise error(f"{name} is not unitary: ||{letter}*{letter} - 1|| = "
+                    f"{np.ravel(dev)[bad[0]]:.3e} > {UNITARITY_TOL:.1e}")
+    return dev
+
+
+def check_unit_vector(x, what: str = "vector", error: type[Exception] = WalkError) -> np.ndarray:
+    """``x`` flat and complex; the one norm check, made where ``psi*`` or ``v`` enters."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    if not abs(np.linalg.norm(x) - 1.0) <= UNIT_NORM_TOL:
+        raise error(f"{what} must be a unit vector, got norm {np.linalg.norm(x):.8f}")
+    return x
 
 
 def cycle_index(n: int, nu: int, tau: int) -> int:
@@ -114,13 +134,7 @@ def _coin_stack(coins, n: int, k: int) -> np.ndarray:
         if coin.shape != (k, k):
             raise WalkError(f"coin {nu} must be {k}x{k}, got shape {coin.shape}")
     stack = np.array(coins, dtype=complex).reshape(n, k, k)
-    gram = np.einsum("nji,njk->nik", stack.conj(), stack)
-    dev = np.linalg.norm(gram - np.eye(k), axis=(1, 2))
-    bad = np.flatnonzero(dev > UNITARITY_TOL)
-    if bad.size:
-        nu = bad[0]
-        raise WalkError(f"coin {nu} is not unitary: ||C*C - 1|| = {dev[nu]:.3e}"
-                        f" > {UNITARITY_TOL:.1e}")
+    check_unitary(stack, "coin", "C")
     return stack
 
 
@@ -138,6 +152,12 @@ def _hop_after_coin(rows: np.ndarray, coins: np.ndarray) -> np.ndarray:
     cols = k * np.arange(n)[:, None] + np.arange(k)
     W[rows[:, :, None], cols[:, None, :]] = coins
     return W
+
+
+def _cycle_rows(n: int) -> np.ndarray:
+    """The rows of :func:`_hop_after_coin` on the cycle: spin -1 one vertex down, +1 up."""
+    nu = np.arange(n)
+    return np.stack([2 * ((nu - 1) % n), 2 * ((nu + 1) % n) + 1], axis=1)
 
 
 def build_cycle_walk(n: int, coins) -> np.ndarray:
@@ -160,10 +180,7 @@ def build_cycle_walk(n: int, coins) -> np.ndarray:
     """
     if n < 2:
         raise WalkError(f"cycle needs n >= 2 vertices, got {n}")
-    stack = _coin_stack(coins, n, 2)
-    nu = np.arange(n)
-    rows = np.stack([2 * ((nu - 1) % n), 2 * ((nu + 1) % n) + 1], axis=1)
-    return _hop_after_coin(rows, stack)
+    return _hop_after_coin(_cycle_rows(n), _coin_stack(coins, n, 2))
 
 
 def build_regular_graph_walk(n: int, r: int, edge_coloring, coins) -> np.ndarray:
@@ -212,8 +229,8 @@ class WalkSpec:
     """A declarative walk description, as read from an experiment config.
 
     ``kind`` is one of ``"cycle"``, ``"regular_graph"`` or ``"raw"``.  The
-    star vector defaults to ``delta_0 (x) e_{-1}`` for cycles and to the first
-    basis vector otherwise; an explicit ``star_vector`` overrides it.
+    star vector defaults to the first basis vector (``delta_0 (x) e_{-1}`` on
+    a cycle); an explicit ``star_vector`` overrides it.
     """
 
     kind: str
@@ -225,30 +242,23 @@ class WalkSpec:
     star_vector: np.ndarray | None = None
 
     def build(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(W, psi_star)``, validating unitarity and normalisation."""
+        """Return ``(W, psi_star)``, checked unitary and normalised; their users assume both."""
         if self.kind == "cycle":
             W = build_cycle_walk(self.n, self.coins)
-            psi = cycle_star_vector(self.n) if self.star_vector is None else np.asarray(self.star_vector, dtype=complex)
         elif self.kind == "regular_graph":
             W = build_regular_graph_walk(self.n, self.r, self.edge_coloring, self.coins)
-            psi = np.zeros(self.n * self.r, dtype=complex)
-            psi[0] = 1.0
-            if self.star_vector is not None:
-                psi = np.asarray(self.star_vector, dtype=complex)
         elif self.kind == "raw":
             W = np.asarray(self.matrix, dtype=complex)
-            check_unitary(W, what="raw walk matrix")
+            check_unitary(W, "raw walk matrix", "W")
             if self.star_vector is None:
                 raise WalkError("raw walks need an explicit star_vector")
-            psi = np.asarray(self.star_vector, dtype=complex)
         else:
             raise WalkError(f"unknown walk kind {self.kind!r}")
+        psi = np.asarray(np.eye(1, W.shape[0])[0] if self.star_vector is None
+                         else self.star_vector, dtype=complex)
         if psi.shape != (W.shape[0],):
             raise WalkError(f"star vector has length {psi.shape}, expected {W.shape[0]}")
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-10:
-            raise WalkError(f"star vector must be normalised, got ||psi*|| = {nrm:.6f}")
-        return W, psi
+        return W, check_unit_vector(psi, "star vector")
 
 
 def householder_vector(x: np.ndarray, k: int) -> np.ndarray | None:

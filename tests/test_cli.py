@@ -478,6 +478,37 @@ AVERAGED = {"environment": BASE_CONFIG["environment"], "coupling": {"alpha": 0.3
             "disorder": dict(DISORDER, distribution="uniform", halfwidth=0.05, seed=1)}
 
 
+class TestEntryChecks:
+    """Each input invariant is refused, with exit 2 and its value named, where it enters."""
+
+    # (change to BASE_CONFIG, message naming the refused value)
+    CASES = {
+        "coin": ({"walk": {"kind": "cycle", "n": 2, "coins": {"kind": "explicit", "matrices": [
+            [[1, 0], [0, 1]], [[1, 0], [0, 1.1]]]}}}, "coin 1 is not unitary: ||C*C - 1||"),
+        "walk.matrix": ({"walk": {"kind": "raw", "matrix": [[1, 0], [0.1, 1]],
+                                  "star_vector": [1, 0]}},
+                        "raw walk matrix is not unitary: ||W*W - 1||"),
+        "environment.unitary.matrix": (
+            {"environment": {"m": 1, "unitary": {"matrix": [[1.1]]},
+                             "symbol_functions": [{"coefficients": [0.5]}]}},
+            "U is not unitary: ||U*U - 1||"),
+        "walk.star_vector": ({"walk": dict(BASE_CONFIG["walk"], star_vector=[1, 1, 0, 0, 0, 0, 0, 0])},
+                             "star vector must be a unit vector, got norm 1.41421356"),
+        "coupling.v": ({"coupling": {"alpha": 0.7, "v": [1.0, 1.0]},
+                        "environment": {"m": 2, "unitary": {"phases": [0.0, 1.0]},
+                                        "symbol_functions": [{"coefficients": [0.5]}] * 2}},
+                       "config.coupling.v must be a unit vector, got norm 1.41421356"),
+    }
+
+    @pytest.mark.parametrize("value", CASES)
+    def test_refused_at_entry_exits_2(self, tmp_path, capsys, value):
+        change, message = self.CASES[value]
+        path = write_config(tmp_path, dict(BASE_CONFIG, **change))
+        assert main(["asymptotic", "--config", path, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "asymptotic.json").exists()
+
+
 class TestFileSets:
     """Each command writes exactly the files of README's table into ``--out``."""
 

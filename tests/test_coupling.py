@@ -299,6 +299,11 @@ class TestCouplingSpec:
         with pytest.raises(CouplingError, match="unit"):
             CouplingSpec(0.5, np.array([1.0, 1.0]))
 
+    def test_refuses_a_non_unit_star(self):
+        # psi* is checked where it enters, not by is_cyclic or build_contraction
+        with pytest.raises(CouplingError, match="psi\\* must be a unit vector"):
+            CouplingSpec(0.5, np.array([1.0]), np.array([1.0, 1.0]))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(alpha=st.sampled_from([0.0, 1e-9, -1e-9, np.pi - 1e-9, np.pi, np.pi + 1e-9,
                                   2 * np.pi + 1e-9]),
@@ -349,9 +354,34 @@ class TestIsCyclic:
         assert cyclic
         assert weights.min() * spacing ** 2 / 8 <= gap <= 8 * weights.min()
 
-    def test_refuses_a_non_unit_star(self):
-        with pytest.raises(CouplingError, match="unit"):
-            is_cyclic(np.eye(2), np.array([1.0, 1.0]))
+
+def test_built_walks_are_not_rechecked(monkeypatch):
+    # W, psi*, v and U are checked where they are made; what reads them
+    # afterwards must run with every check refusing
+    import sys
+
+    from fermiwalk.disorder import DisorderModel, averaged_density
+    from fermiwalk.walk import WalkSpec
+
+    env = env_m1()
+    W, psi = WalkSpec(kind="cycle", n=4, coins=[rotation_coin(t) for t in (0.3, 0.8, 1.2, 0.5)]).build()
+    coupling = CouplingSpec(0.7, np.array([1.0]), psi)
+    model = DisorderModel(t=0.8, r=0.6, n=16, distribution="uniform", theta0=0.4,
+                          halfwidth=0.1, seed=6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input invariant was checked again")
+
+    for name, module in list(sys.modules.items()):
+        for check in ("check_unitary", "check_unit_vector"):
+            if name.startswith("fermiwalk") and hasattr(module, check):
+                monkeypatch.setattr(module, check, refuse)
+    build_contraction(W, psi, 0.7)
+    assert is_cyclic(W, psi)[0]
+    asymptotic_symbol(env, W, coupling)
+    flux_expectations(env, W, coupling)
+    moller_sample_block(env, W, coupling)
+    averaged_density(model, SymbolFunction((0.5, 0.0, 0.125)), alpha=0.5, samples=4)
 
 
 class TestJointOperator:

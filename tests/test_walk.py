@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiwalk.coupling import is_cyclic
 from fermiwalk.walk import (WalkError, WalkSpec, build_cycle_walk,
-                            build_regular_graph_walk, chiral_square, cycle_index,
+                            build_regular_graph_walk, check_unitary, chiral_square, cycle_index,
                             cycle_star_vector, hadamard_coin,
                             random_coin, rotation_coin, unitary_spectrum)
 
@@ -153,6 +155,29 @@ def test_walk_spec_roundtrip():
 
     with pytest.raises(WalkError, match="star_vector"):
         WalkSpec(kind="raw", matrix=np.eye(2)).build()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-9, 1.0))
+def test_unitarity_check_names_the_perturbed_index(n, k, seed, scale):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_coin(k, rng) for _ in range(n)])
+    ref = [np.linalg.norm(A.conj().T @ A - np.eye(k)) for A in stack]
+    np.testing.assert_allclose(check_unitary(stack), ref, rtol=1e-12, atol=1e-15)
+    # a single matrix gets numpy's own Frobenius norm, to the bit
+    assert check_unitary(stack[0]) == ref[0]
+    i = int(rng.integers(n))
+    stack[i] *= 1.0 + scale
+    dev = np.linalg.norm(stack[i].conj().T @ stack[i] - np.eye(k))
+    with pytest.raises(WalkError, match=f"coin {i} is not unitary") as info:
+        check_unitary(stack, "coin", "C")
+    assert f"||C*C - 1|| = {dev:.3e}" in str(info.value)
+
+
+def test_unitarity_check_refuses_nan():
+    with pytest.raises(WalkError, match="raw walk matrix is not unitary: \\|\\|W\\*W - 1\\|\\| = nan"):
+        check_unitary(np.array([[np.nan]]), "raw walk matrix", "W")
 
 
 def _dense_product(n, k, coins, row_of):
