@@ -353,8 +353,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         else:
             raise ConfigError("config.coupling: give alpha or a non-empty alpha_sweep")
         if "v" in section:
-            v = check_unit_vector(_complex_vector(section["v"], "config.coupling.v"),
-                                  "config.coupling.v", ConfigError)
+            v = _complex_vector(section["v"], "config.coupling.v")
+            if cfg.environment is not None and len(v) != cfg.environment.m:
+                raise ConfigError(f"config.coupling.v: expected {cfg.environment.m} entries "
+                                  f"(environment.m), got {len(v)}")
+            v = check_unit_vector(v, "config.coupling.v", ConfigError)
         elif cfg.environment is None:
             raise ConfigError("config.environment: needed for the default coupling.v")
         elif cfg.environment.m != 1:

@@ -26,7 +26,9 @@ proves (:func:`decay_certificate`).  The closed forms read the sample
 through :func:`orbit`: every return amplitude and the Moller block.
 
 The joint one-particle space used by the simulators is a site window of the
-reservoir followed by the sample; see :class:`Window` for the layout.
+reservoir followed by the sample; see :class:`Window` for the layout.  Its
+operators are dense arrays: the open covariance engine steps only sites
+``a..L_max`` and the sample, and the oracle's periodic windows are small.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .environment import EnvironmentSpec
 from .walk import check_unit_vector, chiral_spectrum
@@ -348,16 +349,12 @@ class Window:
         return out
 
 
-def shift_matrix(n_sites: int, periodic: bool) -> sp.csr_matrix:
-    """The site shift ``delta_k -> delta_{k-1}`` on the window (wrap if periodic)."""
-    rows = np.arange(n_sites - 1)
-    cols = rows + 1
-    data = np.ones(n_sites - 1)
+def shift_matrix(n_sites: int, periodic: bool) -> np.ndarray:
+    """The dense site shift ``delta_k -> delta_{k-1}`` on the window (wrap if periodic)."""
+    S = np.eye(n_sites, k=1)
     if periodic:
-        rows = np.concatenate([rows, [n_sites - 1]])
-        cols = np.concatenate([cols, [0]])
-        data = np.ones(n_sites)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_sites, n_sites))
+        S[-1, 0] = 1.0
+    return S
 
 
 def exchange_rotation(alpha: float) -> np.ndarray:
@@ -366,33 +363,30 @@ def exchange_rotation(alpha: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def coupling_exponential(window: Window, coupling: CouplingSpec, d: int) -> sp.csr_matrix:
-    """``exp(-i alpha (iota + iota*))`` on the joint window space.
+def coupling_exponential(window: Window, coupling: CouplingSpec, d: int) -> np.ndarray:
+    """``exp(-i alpha (iota + iota*))`` on the joint window space, as a dense matrix.
 
     Computed in closed form on the invariant plane spanned by
-    ``delta_0 (x) v`` and ``psi*``: the sparse rank-2 update
+    ``delta_0 (x) v`` and ``psi*``: the rank-2 update
     ``1 + Vc (R - 1) Vc^H`` with ``Vc = [delta_0 (x) v | psi*]`` and ``R``
     the :func:`exchange_rotation`; identity elsewhere.
     """
-    Vc = sp.csr_matrix(np.stack([window.joint_env_vector(0, coupling.v, d),
-                                 window.joint_sample_vector(coupling.star())], axis=1))
-    C = sp.csr_matrix(exchange_rotation(coupling.alpha) - np.eye(2))
-    N = window.joint_dim(d)
-    return sp.identity(N, format="csr", dtype=complex) + Vc @ C @ Vc.conj().T
+    Vc = np.stack([window.joint_env_vector(0, coupling.v, d),
+                   window.joint_sample_vector(coupling.star())], axis=1)
+    C = exchange_rotation(coupling.alpha) - np.eye(2)
+    return np.eye(window.joint_dim(d), dtype=complex) + Vc @ C @ Vc.conj().T
 
 
 def _free_step(window: Window, env: EnvironmentSpec, W: np.ndarray,
-               periodic: bool) -> sp.csr_matrix:
-    """The uncoupled step ``S_w (x) U  (+)  W`` on the windowed joint space."""
-    S_w = shift_matrix(window.n_sites, periodic)
-    return sp.block_diag([sp.kron(S_w, sp.csr_matrix(env.U)), sp.csr_matrix(W)],
-                         format="csr")
+               periodic: bool) -> np.ndarray:
+    """The dense uncoupled step ``S_w (x) U  (+)  W`` on the windowed joint space."""
+    return scipy.linalg.block_diag(np.kron(shift_matrix(window.n_sites, periodic), env.U), W)
 
 
 def one_step_joint_operator(window: Window, env: EnvironmentSpec, W: np.ndarray,
                             coupling: CouplingSpec,
-                            boundary: str = "open") -> sp.csr_matrix:
-    """One step of the coupled one-particle dynamics on the windowed joint space.
+                            boundary: str = "open") -> np.ndarray:
+    """One step of the coupled one-particle dynamics on the windowed joint space, dense.
 
     ``T = (S_w (x) U  (+)  W) exp(-i alpha (iota + iota*))`` -- the coupling
     rotation acts first, then the free step.  With ``boundary="open"`` the
@@ -404,7 +398,7 @@ def one_step_joint_operator(window: Window, env: EnvironmentSpec, W: np.ndarray,
         raise CouplingError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     W = np.asarray(W, dtype=complex)
     free = _free_step(window, env, W, boundary == "periodic")
-    return (free @ coupling_exponential(window, coupling, W.shape[0])).tocsr()
+    return free @ coupling_exponential(window, coupling, W.shape[0])
 
 
 def orbit(A: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:

@@ -4,10 +4,11 @@ Three independent routes to the same expectations:
 
 * :class:`CovarianceState` propagates the joint one-particle symbol
   ``Sigma_{t+1} = T Sigma_t T*`` on a reservoir window.  The open boundary is
-  the exact infinite reservoir: the site entering at the right edge is a
-  fresh reservoir site, whose rows are restored from ``Sigma_0`` after each
-  step.  The periodic boundary is the finite ring model that the oracle is
-  compared against;
+  the exact infinite reservoir: every site from ``L_max`` on keeps its rows
+  of ``Sigma_0``, so a step is one dense product on sites ``a..L_max`` and
+  the sample, ``O(((L_max - a + 1) m + d)^3)`` whatever the right end ``b``.
+  The periodic boundary is the finite ring model that the oracle is compared
+  against;
 * :func:`finite_time_pair_expectation` evaluates the explicit finite-time
   sums for pair expectations, with the reservoir brackets reduced to symbol
   coefficients;
@@ -25,8 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import (CouplingError, CouplingSpec, Window, _free_step, build_contraction,
-                       coupling_exponential, decay_certificate, exchange_rotation, horizon,
-                       one_step_joint_operator, orbit)
+                       decay_certificate, exchange_rotation, horizon, one_step_joint_operator,
+                       orbit)
 from .environment import EnvironmentSpec, build_truncated_symbol
 from .walk import householder_vector
 
@@ -45,31 +46,33 @@ __all__ = [
 class CovarianceState:
     """Joint one-particle symbol on a reservoir window under ``Sigma -> T Sigma T*``.
 
-    ``T`` is :func:`~fermiwalk.coupling.one_step_joint_operator` on the
-    window.  Layout: reservoir window block first (site-major), then the
-    sample block.
+    ``T`` is :func:`~fermiwalk.coupling.one_step_joint_operator`.  Layout of
+    ``sigma``: reservoir window block first (site-major), then the sample block.
 
     ``boundary="open"`` is the exact infinite reservoir at every ``t``.
-    Proof: ``Sigma_t[i, j] = <T^{t*} e_i, Sigma_0 T^{t*} e_j>``.  After each
-    step the site ``b`` entering at the right edge is a fresh reservoir site
-    whose backward vector sits at site ``b + t``, while the sample and every
-    site that has met the coupling have backward vectors on sites ``< t``.
-    For ``b >= L_max`` its rows are therefore its rows of ``Sigma_0``: the
-    Toeplitz entries with the fresh sites and zero elsewhere, and the step
-    restores them after ``T Sigma T*``.  The outgoing left sites never act
-    back (the shift is one-way), so ``Window(0, L_max, m)`` already holds
-    all the state the sample needs; an open window must hold sites
-    ``0..L_max``.
+    Proof: ``Sigma_t[i, j] = <T^{t*} e_i, Sigma_0 T^{t*} e_j>``.  The backward
+    vector of a site ``k >= 0`` is a pure shift to site ``k + t``, while the
+    sample and every site that has met the coupling have backward vectors on
+    sites ``< t`` and the sample.  For ``k >= L_max`` the rows of site ``k``
+    are therefore its rows of ``Sigma_0`` at all times: the Toeplitz entries
+    with the fresh sites and zero elsewhere.  The outgoing left sites never
+    act back (the shift is one-way), so an open window must hold sites
+    ``0..L_max``, and ``Window(0, L_max, m)`` already holds all the state
+    the sample needs.
 
-    The open step is therefore exactly ``Sigma -> A Sigma A* + J``, with
-    ``A = T`` with its inflow rows zeroed and ``J`` the inflow rows and columns of
+    An open step is therefore one dense ``T block T*`` with ``T`` on
+    ``Window(a, L_max, m)``: the block of sites ``a..L_max`` and the sample,
+    ``N_act = (L_max - a + 1) m + d`` modes at ``O(N_act^3)``, whatever
+    ``b``.  The open shift zero-fills site ``L_max``, whose rows are then
+    restored from ``Sigma_0``; sites ``L_max + 1..b`` are never touched.  On
+    the block the step is exactly ``Sigma -> A Sigma A* + J``, with ``A = T``
+    with its inflow rows zeroed and ``J`` the inflow rows and columns of
     ``Sigma_0``.  Its fixed point ``X`` has sample block ``Delta``, and
     ``Sigma_t - X = A^t (Sigma_0 - X) A^t*`` with ``0 <= Sigma_0, X <= 1``,
-    so ``||Sigma_S(t) - Delta|| <= ||A^t||^2`` (see
-    :meth:`relaxation_horizon`).
+    so ``||Sigma_S(t) - Delta|| <= ||A^t||^2`` (see :meth:`relaxation_horizon`).
 
     ``boundary="periodic"`` wraps the window into a finite ring, the model
-    that :class:`FockOracle` is compared against.
+    that :class:`FockOracle` is compared against, and steps all of it.
     """
 
     window: Window
@@ -82,16 +85,16 @@ class CovarianceState:
     t: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.boundary == "open" and (self.window.a > 0 or self.window.b < self.env.max_degree):
+        window, L = self.window, self.env.max_degree
+        if self.boundary == "open" and (window.a > 0 or window.b < L):
             raise CouplingError(
-                f"open window [{self.window.a}, {self.window.b}] must hold sites "
-                f"0..L_max = {self.env.max_degree}")
+                f"open window [{window.a}, {window.b}] must hold sites 0..L_max = {L}")
         self.W = np.asarray(self.W, dtype=complex)
         d = self.W.shape[0]
-        # the joint step T and its entrywise conjugate, for Sigma -> T Sigma T*
-        self._T = one_step_joint_operator(self.window, self.env, self.W, self.coupling,
+        # the sites a step touches: a..L_max when open, the whole ring when periodic
+        stepped = Window(window.a, L if self.boundary == "open" else window.b, window.m)
+        self._T = one_step_joint_operator(stepped, self.env, self.W, self.coupling,
                                           self.boundary)
-        self._Tc = self._T.conj()
         if self.sample_symbol is None:
             xi = np.zeros((d, d), dtype=complex)
         else:
@@ -100,29 +103,32 @@ class CovarianceState:
             if evals.min() < -1e-10 or evals.max() > 1.0 + 1e-10:
                 raise CouplingError("sample symbol must satisfy 0 <= Xi <= 1")
         self.sample_symbol = xi
-        sigma_env = build_truncated_symbol(self.env, (self.window.a, self.window.b))
-        self.sigma = np.zeros((self.window.joint_dim(d),) * 2, dtype=complex)
-        ne = self.window.env_dim
+        sigma_env = build_truncated_symbol(self.env, (window.a, window.b))
+        self.sigma = np.zeros((window.joint_dim(d),) * 2, dtype=complex)
+        ne, ns = window.env_dim, stepped.env_dim
         self.sigma[:ne, :ne] = sigma_env
         self.sigma[ne:, ne:] = xi
-        # rows of the site entering at the right edge, restored after each open step
-        self._inflow = self.sigma[ne - self.env.m:ne].copy()
+        self._block = np.ix_(*2 * (np.r_[:ns, ne:ne + d],))
+        # the rows of the block's right-edge site, restored after each open step
+        self._inflow = slice(ns - window.m, ns)
+        self._inflow_rows = self.sigma[self._block][self._inflow]
 
     @property
     def d(self) -> int:
         return self.W.shape[0]
 
     def _step_once(self):
-        """One step ``Sigma -> T Sigma T*``, as ``conj(T) (T Sigma)^T`` transposed."""
-        self.sigma = (self._Tc @ (self._T @ self.sigma).T).T
+        """One step ``T Sigma T*`` of the stepped block, then the open inflow restore."""
+        T = self._T
+        block = T @ self.sigma[self._block] @ T.conj().T
         if self.boundary == "open":
-            ne, m = self.window.env_dim, self.env.m
-            self.sigma[ne - m:ne] = self._inflow
-            self.sigma[:, ne - m:ne] = self._inflow.conj().T
+            block[self._inflow] = self._inflow_rows
+            block[:, self._inflow] = self._inflow_rows.conj().T
+        self.sigma[self._block] = block
         self.t += 1
 
     def step(self, steps: int = 1) -> "CovarianceState":
-        """Advance ``steps`` steps."""
+        """Advance ``steps`` steps, writing ``sigma`` in place."""
         for _ in range(steps):
             self._step_once()
         return self
@@ -134,15 +140,14 @@ class CovarianceState:
     def relaxation_horizon(self, tol: float = 1e-9) -> int:
         """First ``t`` with ``C_A^2 q_A^(2t) <= tol``; ``(C_A, q_A)`` certifies the open step ``A``.
 
+        ``A`` acts on the stepped block of sites ``a..L_max`` and the sample.
         For every sample symbol ``0 <= Xi <= 1`` the sample block is then
-        within ``tol`` of ``Delta`` after ``t`` steps (proof in the class
-        docstring).
+        within ``tol`` of ``Delta`` after ``t`` steps (proof in the class docstring).
         """
         if self.boundary != "open":
             raise CouplingError("the relaxation horizon needs the open boundary")
-        ne, m = self.window.env_dim, self.env.m
-        A = self._T.toarray()
-        A[ne - m:ne] = 0.0
+        A = self._T.copy()
+        A[self._inflow] = 0.0
         C, q = decay_certificate(A)
         return horizon(C ** 2, q ** 2, tol)
 
@@ -230,10 +235,14 @@ def flux_finite_time(state: CovarianceState, i: int) -> float:
     The free step conserves the particle number of every sector; only the
     coupling rotation ``K`` moves particles, and only through site 0.  With
     ``u = delta_0 (x) x_i`` the flux is therefore
-    ``<K* u, Sigma K* u> - <u, Sigma u>``.
+    ``<K* u, Sigma K* u> - <u, Sigma u>``.  ``K`` is the identity off the
+    plane ``Vc = [delta_0 (x) v | psi*]`` and the exchange rotation ``R`` on
+    it, so ``K* u = u + Vc (R* - 1) Vc* u``, and no joint-space matrix is formed.
     """
+    coupling = state.coupling
     u = state.env_vector(0, state.env.eigenvectors[:, i])
-    Ku = coupling_exponential(state.window, state.coupling, state.d).conj().T @ u
+    Vc = np.stack([state.env_vector(0, coupling.v), state.sample_vector(coupling.star())], 1)
+    Ku = u + Vc @ ((exchange_rotation(coupling.alpha).conj().T - np.eye(2)) @ (Vc.conj().T @ u))
     return float(np.real(state.pair_expectation(Ku, Ku) - state.pair_expectation(u, u)))
 
 
@@ -357,7 +366,7 @@ class FockOracle:
             _reflector(window.joint_env_vector(0, coupling.v, 0), E - 1),
             _reflector(coupling.star(), 0))
 
-        V = Q.conj().T @ _free_step(window, env, W, periodic=True).toarray() @ Q
+        V = Q.conj().T @ _free_step(window, env, W, periodic=True) @ Q
         self.G_E = gamma_blocks(V[:E, :E])
         self.G_S = gamma_blocks(V[E:, E:])
         # the coupling on the oracle modes E-1, E, i.e. delta_0 (x) v and psi*

@@ -73,7 +73,7 @@ def open_affine_step(env, W, coup):
     window = Window(0, env.max_degree, env.m)
     cov = CovarianceState(window, env, W, coup)
     inflow = slice(window.env_dim - env.m, window.env_dim)
-    A = one_step_joint_operator(window, env, W, coup).toarray()
+    A = one_step_joint_operator(window, env, W, coup)
     A[inflow] = 0.0
     J = np.zeros_like(cov.sigma)
     J[inflow] = cov.sigma[inflow]

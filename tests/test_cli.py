@@ -1,7 +1,10 @@
 import csv
 import json
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -498,6 +501,10 @@ class TestEntryChecks:
                         "environment": {"m": 2, "unitary": {"phases": [0.0, 1.0]},
                                         "symbol_functions": [{"coefficients": [0.5]}] * 2}},
                        "config.coupling.v must be a unit vector, got norm 1.41421356"),
+        "coupling.v length": ({"coupling": {"alpha": 0.7, "v": [0.6, 0.0, 0.8]},
+                               "environment": {"m": 2, "unitary": {"phases": [0.0, 1.0]},
+                                               "symbol_functions": [{"coefficients": [0.5]}] * 2}},
+                              "config.coupling.v: expected 2 entries (environment.m), got 3"),
     }
 
     @pytest.mark.parametrize("value", CASES)
@@ -638,3 +645,16 @@ def test_matrix_csv_roundtrip(tmp_path):
     parsed = np.array([[complex(*map(float, cell.split(","))) for cell in row]
                        for row in rows])
     assert np.array_equal(parsed, M)
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # the engine's operators are dense; importing the CLI loads no scipy.sparse
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, fermiwalk.cli; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

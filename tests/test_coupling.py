@@ -393,7 +393,7 @@ class TestJointOperator:
 
     def test_alpha_zero_block_diagonal(self):
         coup0 = CouplingSpec(0.0, np.array([1.0]), self.coup.psi_star)
-        T = one_step_joint_operator(self.window, self.env, self.W, coup0).toarray()
+        T = one_step_joint_operator(self.window, self.env, self.W, coup0)
         ne = self.window.env_dim
         assert np.linalg.norm(T[:ne, ne:]) == 0.0
         assert np.linalg.norm(T[ne:, :ne]) == 0.0
@@ -426,7 +426,7 @@ class TestJointOperator:
             one_step_joint_operator(Window(1, 4, 1), self.env, self.W, self.coup, boundary)
 
     def test_coupling_exponential_unitary(self):
-        K = coupling_exponential(self.window, self.coup, 8).toarray()
+        K = coupling_exponential(self.window, self.coup, 8)
         assert np.linalg.norm(K.conj().T @ K - np.eye(K.shape[0])) <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -440,7 +440,7 @@ class TestJointOperator:
         iota = np.outer(window.joint_env_vector(0, v, 8),
                         window.joint_sample_vector(coup.psi_star).conj())
         expected = scipy.linalg.expm(-1j * coup.alpha * (iota + iota.conj().T))
-        K = coupling_exponential(window, coup, 8).toarray()
+        K = coupling_exponential(window, coup, 8)
         assert np.abs(K - expected).max() <= 1e-14
 
 

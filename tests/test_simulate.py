@@ -49,7 +49,7 @@ class TestCovarianceBasics:
         coup = CouplingSpec(0.9, v, psi)
         win = Window(-3, 6, 2)
         state = CovarianceState(win, env, W, coup, boundary=boundary)
-        T = one_step_joint_operator(win, env, W, coup, boundary=boundary).toarray()
+        T = one_step_joint_operator(win, env, W, coup, boundary=boundary)
         sigma0 = state.sigma.copy()
         inflow = slice(win.env_dim - 2, win.env_dim)
         ref = sigma0.copy()
@@ -123,7 +123,7 @@ class TestCovarianceBasics:
         steps = 60
         state = CovarianceState(Window(a, L + extra, m), env, W, coup, sample_symbol=xi)
         long = Window(-1, L + steps + 1, m)
-        T = one_step_joint_operator(long, env, W, coup, "open").toarray()
+        T = one_step_joint_operator(long, env, W, coup, "open")
         ref = scipy.linalg.block_diag(build_truncated_symbol(env, (long.a, long.b)), xi)
 
         def block(sigma, win):
@@ -465,6 +465,46 @@ def test_oracle_two_point_matrix_is_periodic_covariance(instance):
         cov.step()
 
 
+@st.composite
+def open_window_instances(draw):
+    """Haar ``W`` (d <= 4), ``U``, ``v`` and ``0 <= Xi <= 1``, and an open window ``a..b``.
+
+    ``a`` lies in ``[-4, 0]`` and ``b`` up to 30 sites beyond ``L_max``.
+    """
+    m, d, L = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    a, beyond = draw(st.integers(-4, 0)), draw(st.integers(0, 30))
+    alpha = draw(st.floats(0.05, np.pi - 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    env = EnvironmentSpec(random_coin(m, rng), [admissible_symbol(rng, L) for _ in range(m)])
+    coup = CouplingSpec(alpha, random_coin(m, rng)[:, 0], random_coin(d, rng)[:, 0])
+    basis = random_coin(d, rng)
+    xi = basis @ np.diag(rng.uniform(0.0, 1.0, d)) @ basis.conj().T
+    return env, random_coin(d, rng), coup, xi, Window(a, L + beyond, m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(open_window_instances(), st.integers(1, 12))
+def test_open_step_matches_full_window_conjugation(instance, steps):
+    # the step on sites a..L_max and the sample against dense T Sigma T* on
+    # the whole window with the site-b inflow restored; sites past L_max are
+    # never touched and keep their Sigma_0 rows and columns exactly
+    env, W, coup, xi, win = instance
+    state = CovarianceState(win, env, W, coup, sample_symbol=xi)
+    T = one_step_joint_operator(win, env, W, coup, "open")
+    sigma0 = state.sigma.copy()
+    inflow = slice(win.env_dim - env.m, win.env_dim)
+    ref = sigma0.copy()
+    for _ in range(steps):
+        ref = T @ ref @ T.conj().T
+        ref[inflow, :] = sigma0[inflow, :]
+        ref[:, inflow] = sigma0[:, inflow]
+    state.step(steps)
+    assert np.abs(state.sigma - ref).max() <= 1e-13
+    fresh = slice(win.site_offset(env.max_degree) + env.m, win.env_dim)
+    assert np.array_equal(state.sigma[fresh], sigma0[fresh])
+    assert np.array_equal(state.sigma[:, fresh], sigma0[:, fresh])
+
+
 class TestFockOracle:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("kind", ["random", "permutation"])
@@ -547,7 +587,7 @@ class TestFockOracle:
         win = Window(a, b, m)
         dim = 2 ** (win.env_dim + W.shape[0])
         oracle = FockOracle(env, W, coup, win, ensemble=random_ensemble(dim, 3, seed=11))
-        T = one_step_joint_operator(win, env, W, coup, "periodic").toarray()
+        T = one_step_joint_operator(win, env, W, coup, "periodic")
         expected = gamma_dense(oracle.Q.conj().T @ T @ oracle.Q) @ oracle.states
         oracle.step()
         assert np.abs(oracle.states - expected).max() <= 1e-13
@@ -573,7 +613,7 @@ class TestFockOracle:
         kept = states.copy()
         oracle = FockOracle(env, W, CouplingSpec(0.9, v, psi), win, ensemble=(weights, states))
         Q = oracle.Q
-        S_circ_U = np.kron(shift_matrix(win.n_sites, periodic=True).toarray(), env.U)
+        S_circ_U = np.kron(shift_matrix(win.n_sites, periodic=True), env.U)
         G_E = gamma_dense(Q[:E, :E].conj().T @ S_circ_U @ Q[:E, :E])
         G_S = gamma_dense(Q[E:, E:].conj().T @ W @ Q[E:, E:])
         expected = states
