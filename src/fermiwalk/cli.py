@@ -30,7 +30,8 @@ from .asymptotics import (asymptotic_symbol, flux_expectations,
                           node_correlations, node_profile,
                           particle_number_distribution)
 from .config import (COMMAND_OPTIONS, COMMAND_SECTIONS, COMMANDS, ConfigError,
-                     ExperimentConfig, canonical_json, encode_complex_matrix, load_config)
+                     ExperimentConfig, canonical_json, encode_complex_matrix, load_config,
+                     read_json)
 from .coupling import SPR_MAX, CouplingError, Window, is_cyclic, spectral_radius
 from .disorder import (averaged_density, density_of_states,
                        enlarged_band_intervals, exact_band_intervals,
@@ -307,6 +308,8 @@ def run(cfg: ExperimentConfig, command: str | None = None, outdir: str | None = 
         raise ConfigError(f"config.{missing[0]}: {command} needs the {missing[0]} section")
     if seed is not None and seed < 0:
         raise ConfigError("--seed: expected a non-negative integer")
+    if threads is not None and threads < 1:
+        raise ConfigError("--threads: expected a positive integer")
     outdir = outdir or cfg.output_dir or "."
     os.makedirs(outdir, exist_ok=True)
     if seed is None:
@@ -319,7 +322,7 @@ def run(cfg: ExperimentConfig, command: str | None = None, outdir: str | None = 
             "tool": "fermiwalk",
             "version": __version__,
             "seed": 0 if seed is None else int(seed),
-            "threads": threads if threads else 1,
+            "threads": threads or 1,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
         "results": results,
@@ -340,8 +343,8 @@ def emit_plot_data(result: dict, kind: str, path: str):
     """Write plot-ready CSV extracted from a completed result payload."""
     if kind not in PLOT_KINDS:
         raise ConfigError(f"unknown plot kind {kind!r}")
-    results = result.get("results", {})
-    if PLOT_KINDS[kind] not in results:
+    results = result.get("results") if isinstance(result, dict) else None
+    if not isinstance(results, dict) or PLOT_KINDS[kind] not in results:
         raise ConfigError(f"result carries no {PLOT_KINDS[kind]} data")
     if kind == "profile":
         _write_csv(path, ["node", "density"],
@@ -382,19 +385,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_threads(value: str) -> int:
+    """The thread count that ``FERMIWALK_THREADS`` holds; anything but a positive integer is refused."""
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"FERMIWALK_THREADS: expected a positive integer, got {value!r}")
+    return threads
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "emit":
-            import json
-            with open(args.result) as fh:
-                payload = json.load(fh)
             out = args.out or f"{args.kind}.csv"
-            emit_plot_data(payload, args.kind, out)
+            emit_plot_data(read_json(args.result, "--result"), args.kind, out)
             return EXIT_OK
         threads = args.threads
         if threads is None and os.environ.get("FERMIWALK_THREADS"):
-            threads = int(os.environ["FERMIWALK_THREADS"])
+            threads = _env_threads(os.environ["FERMIWALK_THREADS"])
         cfg = load_config(args.config)
         return run(cfg, command=args.command, outdir=args.out,
                    seed=args.seed, threads=threads)

@@ -26,6 +26,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "load_config",
+    "read_json",
     "canonical_json",
     "config_hash",
     "encode_complex_matrix",
@@ -370,12 +371,22 @@ def parse_config(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def read_json(path, flag: str):
+    """The JSON document at ``path``; a file that cannot be read as JSON is a :class:`ConfigError`.
+
+    A missing path, a directory, an unreadable file and invalid JSON each give
+    a message that starts with ``flag``, the option that named the path.
+    """
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    return parse_config(data)
+        raise ConfigError(f"{flag}: file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot read {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{flag}: {path} is not valid JSON: {exc}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_json(path, "--config"))

@@ -15,11 +15,15 @@ Three independent routes to the same expectations:
 * :class:`FockOracle` evolves the exact many-body state on the full
   ``2^modes`` occupation space of a small periodic window (same-species
   representation, occupation-amplitude arrays), for non-quadratic
-  observables such as the full particle-number distribution.
+  observables such as the full particle-number distribution.  Each
+  one-particle factor enters as its second quantisation ``Gamma(V)``, built
+  one particle number at a time by first-row Laplace recursion
+  (:func:`gamma_blocks`), with no determinant.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,7 +254,11 @@ def flux_finite_time(state: CovarianceState, i: int) -> float:
 # Second quantisation
 
 
-# Gamma(V) forms minors for all 2^n x 2^n occupation pairs: 0.5 GB at n = 12
+# Gamma(V) on n modes holds sum_p C(n, p)^2 = C(2n, n) entries.  Measured with
+# one BLAS thread on a 2-vCPU x86_64 VM, one gamma_blocks call at n = 10 takes
+# 6-10 ms and peaks at 7 MB (3 MB of blocks); at n = 12 it would take 0.23 s
+# and 95 MB, and within FockOracle.MAX_MODES = 14 a 12-mode factor leaves the
+# other at most 2 modes, a shape no cross-check uses.  So the cap stays at 10.
 MAX_FACTOR_MODES = 10
 
 
@@ -261,43 +269,94 @@ def _occupations(n: int) -> np.ndarray:
     return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def _minors(V: np.ndarray, rows: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
-    """``det V[y, x]`` for the p-particle occupations ``y`` in ``rows`` and ``x`` in ``cols``."""
-    ys = np.nonzero(rows)[1].reshape(len(rows), p)
-    xs = np.nonzero(cols)[1].reshape(len(cols), p)
-    return np.linalg.det(V[ys[:, None, :, None], xs[None, :, None, :]])
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: a cached table is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.cache
+def _ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Particle number of every configuration, and its rank among those with the same number."""
+    counts = _occupations(n).sum(axis=1)
+    sizes = np.bincount(counts)
+    rank = np.empty(2 ** n, dtype=np.intp)
+    rank[np.argsort(counts, kind="stable")] = (np.arange(2 ** n)
+                                               - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    return _frozen(counts, rank)
+
+
+@functools.cache
+def _laplace_tables(n: int, p: int) -> tuple[np.ndarray, ...]:
+    """Index tables of the first-row Laplace expansion on the ``p``-particle sector of ``n`` modes.
+
+    Returns ``(configs, modes, minor)``: the ascending occupation indices
+    ``y`` with ``p`` bits set, the ``(C(n, p), p)`` ascending modes ``y_i`` of
+    each, and the ``(C(n, p), p)`` ranks of ``y - y_i`` among the
+    ``(p - 1)``-particle configurations.  A row reads ``modes[:, 0]`` and
+    ``minor[:, 0]``, a column all of them.
+    """
+    counts, rank = _ranks(n)
+    configs = np.flatnonzero(counts == p)
+    modes = np.nonzero(_occupations(n)[configs])[1].reshape(len(configs), p)
+    return _frozen(configs, modes, rank[configs[:, None] - (1 << (n - 1 - modes))])
 
 
 def gamma_blocks(V: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Second quantisation ``Gamma(V)`` of a unitary on few modes, one particle number at a time.
+    """Second quantisation ``Gamma(V)`` of a matrix on few modes, one particle number at a time.
 
     ``Gamma(V)`` conserves the particle number and acts on the p-particle
     sector as the p-th exterior power of ``V``: the entry between occupation
     sets ``y`` and ``x`` of equal size is the minor ``det V[y, x]`` (modes in
     ascending order), and the vacuum entry is 1.  Returns ``(configs, block)``
     for ``p = 0..n``: the ascending occupation indices with ``p`` bits set
-    (mode 0 the top bit) and ``Gamma(V)`` restricted to them.  The minors are
-    batched per particle number.
+    (mode 0 the top bit) and ``Gamma(V)`` restricted to them.
+
+    The blocks are built from ``p = 0`` upward by the Laplace expansion along
+    the first row, ``Gamma_p[y, x] = sum_i (-1)^i V[y_0, x_i]
+    Gamma_{p-1}[y - y_0, x - x_i]``, on index tables (:func:`_laplace_tables`)
+    that depend only on ``(n, p)``: ``sum_p p C(n, p)^2`` complex
+    multiply-adds in all, and no determinant.  For a unitary ``V`` every
+    minor has modulus at most 1 and every row of ``V`` norm 1, so the ``p``
+    terms of an entry have ``sum_i |V[y_0, x_i]| <= sqrt(p)``: the absolute
+    error of a level-``p`` entry is at most ``sqrt(p)`` times the largest
+    error of level ``p - 1`` plus the rounding of one ``p``-term sum,
+    ``O(p^(3/2) eps)``.  Level ``p`` is therefore within
+    ``O(p^2 sqrt(p!) eps)``, a worst case near ``1e-11`` at ``p = 10``; the
+    errors measured against determinants on Haar unitaries up to ``n = 10``
+    stay below ``1e-15``.
     """
     V = np.asarray(V, dtype=complex)
-    occupation = _occupations(V.shape[0])
-    counts = occupation.sum(axis=1)
-    blocks = []
-    for p in range(V.shape[0] + 1):
-        idx = np.flatnonzero(counts == p)
-        blocks.append((idx, _minors(V, occupation[idx], occupation[idx], p)))
+    n = V.shape[0]
+    previous = np.ones((1, 1), dtype=complex)
+    blocks = [(np.zeros(1, dtype=np.intp), previous)]
+    for p in range(1, n + 1):
+        configs, modes, minor = _laplace_tables(n, p)
+        rows, lead = previous[minor[:, 0]], V[modes[:, 0]]
+        block = lead[:, modes[:, 0]] * rows[:, minor[:, 0]]
+        for i in range(1, p):
+            term = lead[:, modes[:, i]] * rows[:, minor[:, i]]
+            if i % 2:
+                block -= term
+            else:
+                block += term
+        blocks.append((configs, block))
+        previous = block
     return blocks
 
 
 def gamma_columns(V: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """The columns ``columns`` (occupation indices) of ``Gamma(V)``, forming only their minors."""
-    V = np.asarray(V, dtype=complex)
-    occupation = _occupations(V.shape[0])
-    counts = occupation.sum(axis=1)
-    out = np.zeros((len(counts), len(columns)), dtype=complex)
+    """The columns ``columns`` (occupation indices) of ``Gamma(V)``, cut from :func:`gamma_blocks`."""
+    n = np.shape(V)[0]
+    counts, rank = _ranks(n)
+    columns = np.asarray(columns)
+    out = np.zeros((2 ** n, len(columns)), dtype=complex)
+    blocks = gamma_blocks(V)
     for p in np.unique(counts[columns]):
-        rows, sel = np.flatnonzero(counts == p), np.flatnonzero(counts[columns] == p)
-        out[np.ix_(rows, sel)] = _minors(V, occupation[rows], occupation[columns[sel]], p)
+        configs, block = blocks[p]
+        sel = np.flatnonzero(counts[columns] == p)
+        out[np.ix_(configs, sel)] = block[:, rank[columns[sel]]]
     return out
 
 

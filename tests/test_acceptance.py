@@ -319,6 +319,19 @@ def test_criterion_9_moller_identity():
           f"limit symbol within {worst:.2e} <= 1e-8, independent of the sample symbol")
 
 
+def ring_phases(W: np.ndarray) -> np.ndarray:
+    """Eigenphases in ``[0, 2 pi)`` of a coined ring walk, from a half-size eigensolve.
+
+    ``W`` (two basis states per site, site-major) maps even sites ``P`` to odd
+    sites ``Q`` and back, so ``W^2`` is ``XY = W_PQ W_QP`` on ``P`` and the
+    eigenvalues of ``W`` are the square roots ``+-e^{i phi / 2}`` of those of ``XY``.
+    """
+    even = np.arange(W.shape[0]) // 2 % 2 == 0
+    XY = W[even][:, ~even] @ W[~even][:, even]
+    phi = np.angle(np.linalg.eigvals(XY))
+    return np.concatenate([phi / 2, phi / 2 + np.pi]) % (2 * np.pi)
+
+
 def test_criterion_10_disorder():
     start = time.time()
     # point mass: support equals the rotated bands within one bin
@@ -329,7 +342,11 @@ def test_criterion_10_disorder():
     nz = dos.mass > 0
     assert phases_in_bands(dos.bin_centers[nz], bands, dilation=width).all()
     # band coverage: sampled extremes reach the exact edges within one bin
-    phases = np.angle(np.linalg.eigvals(sample_disordered_walk(point, 0))) % (2 * np.pi)
+    W = sample_disordered_walk(point, 0)
+    phases = ring_phases(W)
+    # the half-size spectrum is the full one, on this draw
+    full = np.angle(np.linalg.eigvals(W)) % (2 * np.pi)
+    assert np.abs(np.sort(phases) - np.sort(full)).max() <= 1e-10
     for lo, hi in bands:
         rel = np.sort((phases - lo) % (2 * np.pi))
         sel = rel <= (hi - lo) + 1e-9
@@ -340,7 +357,7 @@ def test_criterion_10_disorder():
                              theta0=0.7, halfwidth=0.05, seed=1)
     intervals = enlarged_band_intervals(interval)
     for idx in range(50):
-        ph = np.angle(np.linalg.eigvals(sample_disordered_walk(interval, idx))) % (2 * np.pi)
+        ph = ring_phases(sample_disordered_walk(interval, idx))
         assert phases_in_bands(ph, intervals, dilation=1e-8).all()
 
     # averaged density: trace and density-of-states estimators agree at 3 sigma

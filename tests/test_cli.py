@@ -515,6 +515,67 @@ class TestEntryChecks:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "asymptotic.json").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", path, "--out", str(out), "--threads", value]) == 2
+        assert "fermiwalk: --threads: expected a positive integer" in capsys.readouterr().err
+        assert not (out / "validate.json").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_bad_env_threads_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("FERMIWALK_THREADS", value)
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", path, "--out", str(out)]) == 2
+        assert (f"fermiwalk: FERMIWALK_THREADS: expected a positive integer, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (out / "validate.json").exists()
+
+    def test_env_threads_reach_provenance(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FERMIWALK_THREADS", "2")
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 0
+        assert read_result(tmp_path, "validate.json")["provenance"]["threads"] == 2
+
+    # unreadable path -> the message after the flag
+    UNREADABLE = {"missing": "file not found", "directory": "cannot read",
+                  "not JSON": "is not valid JSON", "not UTF-8": "is not valid JSON"}
+
+    def _unreadable(self, tmp_path, kind) -> str:
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not JSON":
+            path.write_text("{\"command\": ")
+        elif kind == "not UTF-8":
+            path.write_bytes(b"\xff\xfe{}")
+        return str(path)
+
+    @pytest.mark.parametrize("flag", ["--config", "--result"])
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, flag, kind):
+        path = self._unreadable(tmp_path, kind)
+        out = tmp_path / "out"
+        if flag == "--config":
+            argv = ["validate", "--config", path, "--out", str(out)]
+        else:
+            argv = ["emit", "--result", path, "--kind", "profile", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"fermiwalk: {flag}: ")
+        assert self.UNREADABLE[kind] in err and path in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [[1, 2], {}, {"results": [1]}, {"results": {}}])
+    def test_emit_from_json_without_the_data_exits_2(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, payload, name="result.json")
+        out = tmp_path / "profile.csv"
+        assert main(["emit", "--result", path, "--kind", "profile", "--out", str(out)]) == 2
+        assert "fermiwalk: result carries no profile data" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFileSets:
     """Each command writes exactly the files of README's table into ``--out``."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,9 @@ from fermiwalk.coupling import (CouplingError, CouplingSpec, Window, build_contr
                                 exchange_rotation, one_step_joint_operator, shift_matrix)
 from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
                                    build_truncated_symbol)
-from fermiwalk.simulate import (CovarianceState, FockOracle, _reflector,
+from fermiwalk.simulate import (CovarianceState, FockOracle, _occupations, _reflector,
                                 finite_time_pair_expectation, flux_finite_time,
-                                gamma_dense)
+                                gamma_blocks, gamma_columns, gamma_dense)
 from fermiwalk.walk import build_cycle_walk, cycle_star_vector, random_coin, rotation_coin
 
 THETAS4 = (0.3, 0.8, 1.2, 0.5)
@@ -503,6 +504,81 @@ def test_open_step_matches_full_window_conjugation(instance, steps):
     fresh = slice(win.site_offset(env.max_degree) + env.m, win.env_dim)
     assert np.array_equal(state.sigma[fresh], sigma0[fresh])
     assert np.array_equal(state.sigma[:, fresh], sigma0[:, fresh])
+
+
+def det_blocks(V):
+    """Reference ``Gamma(V)``: one determinant per minor ``det V[y, x]`` (modes ascending)."""
+    n = V.shape[0]
+    configs = np.arange(2 ** n)
+    bits = (configs[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    blocks = []
+    for p in range(n + 1):
+        idx = np.flatnonzero(bits.sum(axis=1) == p)
+        modes = np.nonzero(bits[idx])[1].reshape(len(idx), p)
+        blocks.append((idx, np.linalg.det(V[modes[:, None, :, None], modes[None, :, None, :]])))
+    return blocks
+
+
+def haar(n, rng):
+    if n == 1:
+        return np.exp(2j * np.pi * rng.random((1, 1)))
+    return scipy.stats.unitary_group.rvs(n, random_state=rng)
+
+
+class TestLaplaceSecondQuantisation:
+    """``gamma_blocks`` builds the exterior powers by Laplace recursion, with no determinant."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 7), st.floats(0.05, 3.0), st.integers(0, 2 ** 32 - 1))
+    def test_matches_determinants_on_any_matrix(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        V = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        tol = 1e-12 * max(1.0, np.linalg.norm(V, 2)) ** n
+        for (configs, block), (ref_configs, ref) in zip(gamma_blocks(V), det_blocks(V),
+                                                       strict=True):
+            assert np.array_equal(configs, ref_configs)
+            assert np.abs(block - ref).max() <= tol
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_determinants_on_haar_unitaries(self, n):
+        V = haar(n, np.random.default_rng(100 + n))
+        for (_, block), (_, ref) in zip(gamma_blocks(V), det_blocks(V), strict=True):
+            assert np.abs(block - ref).max() <= 1e-13
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+    def test_cauchy_binet(self, n, seed):
+        rng = np.random.default_rng(seed)
+        A, B = haar(n, rng), haar(n, rng)
+        assert np.abs(gamma_dense(A @ B) - gamma_dense(A) @ gamma_dense(B)).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+    def test_columns_are_cut_from_the_dense_matrix(self, n, seed):
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cols = rng.choice(2 ** n, size=rng.integers(1, 2 ** n + 1), replace=False)
+        assert np.array_equal(gamma_columns(V, cols), gamma_dense(V)[:, cols])
+
+    def test_factor_cap(self):
+        with pytest.raises(CouplingError, match="capped at 10 modes"):
+            _occupations(11)
+        with pytest.raises(CouplingError, match="capped at 10 modes"):
+            gamma_blocks(np.eye(11))
+
+    def test_no_determinant_on_the_oracle_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        W2, psi2 = build_cycle_walk(2, [rotation_coin(0.6)] * 2), cycle_star_vector(2)
+        W4, psi4 = rotation_walk()
+        for env, W, psi, v, win in ((env_m2(), W2, psi2, V2, Window(-1, 1, 2)),
+                                    (env_m1(), W4, psi4, np.array([1.0]), Window(-1, 2, 1))):
+            oracle = FockOracle(env, W, CouplingSpec(0.9, v, psi), win)
+            assert oracle.D in (10, 12)
+            oracle.step(2)
+        assert gamma_dense(haar(8, np.random.default_rng(3))).shape == (256, 256)
 
 
 class TestFockOracle:
