@@ -117,7 +117,7 @@ def _cmd_validate(cfg, outdir, seed, threads):
     return report
 
 
-def _asymptotic_results(cfg):
+def _cmd_asymptotic(cfg, outdir, seed, threads):
     W, _ = cfg.built_walk
     coup = cfg.coupling()
     state = asymptotic_symbol(cfg.environment, W, coup)
@@ -138,11 +138,6 @@ def _asymptotic_results(cfg):
         results["profile"] = [float(x) for x in node_profile(state)]
         results["correlations"] = [[float(x) for x in row]
                                    for row in node_correlations(state)]
-    return state, results
-
-
-def _cmd_asymptotic(cfg, outdir, seed, threads):
-    state, results = _asymptotic_results(cfg)
     if cfg.options.get("export_matrices"):
         matrix_to_csv(state.delta, os.path.join(outdir, "delta.csv"))
         matrix_to_csv(state.contraction.matrix, os.path.join(outdir, "contraction.csv"))
@@ -150,10 +145,12 @@ def _cmd_asymptotic(cfg, outdir, seed, threads):
 
 
 def _cmd_profile(cfg, outdir, seed, threads):
-    _, results = _asymptotic_results(cfg)
-    if "profile" not in results:
+    if cfg.walk.kind != "cycle":
         raise ConfigError("profile needs a cycle walk")
-    return {"alpha": results["alpha"], "profile": results["profile"]}
+    W, _ = cfg.built_walk
+    coup = cfg.coupling()
+    profile = node_profile(asymptotic_symbol(cfg.environment, W, coup))
+    return {"alpha": coup.alpha, "profile": [float(x) for x in profile]}
 
 
 def _cmd_flux(cfg, outdir, seed, threads):
@@ -181,20 +178,23 @@ def _cmd_simulate(cfg, outdir, seed, threads):
         steps = cfg.options["steps"]
     else:
         steps = cov.relaxation_horizon(1e-9)
-    trace_rows = []
-    for t in range(1, steps + 1):
+    blocks = np.empty((steps, W.shape[0], W.shape[0]), dtype=complex)
+    for block in blocks:
         cov.step(1)
-        block = cov.sample_block()
-        err = float(np.linalg.norm(block - state.delta))
-        trace_rows.append([t, float(np.trace(block).real), err])
+        block[...] = cov.sample_block()
+    # the Frobenius norm of each block as np.linalg.norm takes it, bit for bit
+    diff = (blocks - state.delta).reshape(steps, -1)
+    errors = np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag)).tolist()
+    traces = np.trace(blocks, axis1=1, axis2=2).real.tolist()
+    ts = range(1, steps + 1)
     _write_csv(os.path.join(outdir, "simulate_trace.csv"),
-               ["t", "sample_trace", "error_to_delta"], trace_rows)
+               ["t", "sample_trace", "error_to_delta"], zip(ts, traces, errors))
     return {
         "steps": steps,
         "window": [window.a, window.b],
-        "final_error_to_delta": trace_rows[-1][2],
-        "final_sample_block": encode_complex_matrix(cov.sample_block()),
-        "convergence": [[int(r[0]), r[2]] for r in trace_rows],
+        "final_error_to_delta": errors[-1],
+        "final_sample_block": encode_complex_matrix(blocks[-1]),
+        "convergence": [[t, err] for t, err in zip(ts, errors)],
     }
 
 

@@ -52,6 +52,7 @@ __all__ = [
     "is_cyclic",
     "decay_certificate",
     "horizon",
+    "check_symbol_spectrum",
     "exchange_rotation",
     "one_step_joint_operator",
     "orbit",
@@ -67,10 +68,22 @@ MAX_HORIZON = 200_000
 # (3-5 on disorder draws, up to about 20 on Haar walks with weights near
 # 1/d; a double root converges linearly)
 MAX_SWEEPS = 100
+# slack of the one check 0 <= X <= 1 on a one-particle symbol's eigenvalues
+SYMBOL_SPECTRUM_TOL = 1e-10
 
 
 class CouplingError(ValueError):
     """Invalid coupling data or a violated spectral precondition."""
+
+
+def check_symbol_spectrum(eigenvalues: np.ndarray, what: str):
+    """The one ``0 <= X <= 1`` check, on a symbol's eigenvalues (NaN fails it too).
+
+    Made on ``Delta``, the sample symbol ``Xi`` and the oracle's initial joint symbol.
+    """
+    lo, hi = np.min(eigenvalues), np.max(eigenvalues)
+    if not (lo >= -SYMBOL_SPECTRUM_TOL and hi <= 1.0 + SYMBOL_SPECTRUM_TOL):
+        raise CouplingError(f"{what} spectrum [{lo:.3e}, {hi:.3e}] escapes [0, 1]")
 
 
 @dataclass

@@ -5,8 +5,8 @@ Three independent routes to the same expectations:
 * :class:`CovarianceState` propagates the joint one-particle symbol
   ``Sigma_{t+1} = T Sigma_t T*`` on a reservoir window.  The open boundary is
   the exact infinite reservoir: every site from ``L_max`` on keeps its rows
-  of ``Sigma_0``, so a step is one dense product on sites ``a..L_max`` and
-  the sample, ``O(((L_max - a + 1) m + d)^3)`` whatever the right end ``b``.
+  of ``Sigma_0``, so the state holds only sites ``a..L_max`` and the sample,
+  and a step is one dense product at ``O(((L_max - a + 1) m + d)^3)``.
   The periodic boundary is the finite ring model that the oracle is compared
   against;
 * :func:`finite_time_pair_expectation` evaluates the explicit finite-time
@@ -30,8 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import (CouplingError, CouplingSpec, Window, _free_step, build_contraction,
-                       decay_certificate, exchange_rotation, horizon, one_step_joint_operator,
-                       orbit)
+                       check_symbol_spectrum, decay_certificate, exchange_rotation, horizon,
+                       one_step_joint_operator, orbit)
 from .environment import EnvironmentSpec, build_truncated_symbol
 from .walk import householder_vector
 
@@ -48,10 +48,10 @@ __all__ = [
 
 @dataclass
 class CovarianceState:
-    """Joint one-particle symbol on a reservoir window under ``Sigma -> T Sigma T*``.
+    """Joint one-particle symbol of the modes that evolve, under ``Sigma -> T Sigma T*``.
 
-    ``T`` is :func:`~fermiwalk.coupling.one_step_joint_operator`.  Layout of
-    ``sigma``: reservoir window block first (site-major), then the sample block.
+    ``T`` is :func:`~fermiwalk.coupling.one_step_joint_operator` on ``window``.
+    Layout of ``sigma``: reservoir sites first (site-major), then the sample.
 
     ``boundary="open"`` is the exact infinite reservoir at every ``t``.
     Proof: ``Sigma_t[i, j] = <T^{t*} e_i, Sigma_0 T^{t*} e_j>``.  The backward
@@ -61,22 +61,19 @@ class CovarianceState:
     are therefore its rows of ``Sigma_0`` at all times: the Toeplitz entries
     with the fresh sites and zero elsewhere.  The outgoing left sites never
     act back (the shift is one-way), so an open window must hold sites
-    ``0..L_max``, and ``Window(0, L_max, m)`` already holds all the state
-    the sample needs.
-
-    An open step is therefore one dense ``T block T*`` with ``T`` on
-    ``Window(a, L_max, m)``: the block of sites ``a..L_max`` and the sample,
-    ``N_act = (L_max - a + 1) m + d`` modes at ``O(N_act^3)``, whatever
-    ``b``.  The open shift zero-fills site ``L_max``, whose rows are then
-    restored from ``Sigma_0``; sites ``L_max + 1..b`` are never touched.  On
-    the block the step is exactly ``Sigma -> A Sigma A* + J``, with ``A = T``
-    with its inflow rows zeroed and ``J`` the inflow rows and columns of
-    ``Sigma_0``.  Its fixed point ``X`` has sample block ``Delta``, and
-    ``Sigma_t - X = A^t (Sigma_0 - X) A^t*`` with ``0 <= Sigma_0, X <= 1``,
-    so ``||Sigma_S(t) - Delta|| <= ||A^t||^2`` (see :meth:`relaxation_horizon`).
+    ``0..L_max``, and the state holds only sites ``a..L_max`` and the sample:
+    ``window`` is cut to ``Window(a, L_max, m)``, ``sigma`` is ``N_act =
+    (L_max - a + 1) m + d`` square, and a step is one dense ``T sigma T*``.
+    The open shift zero-fills site ``L_max``, whose rows are then restored
+    from ``Sigma_0``: the step is exactly ``Sigma -> A Sigma A* + J``, with
+    ``A = T`` with its inflow rows zeroed and ``J`` the inflow rows and
+    columns of ``Sigma_0``.  Its fixed point ``X`` has sample block
+    ``Delta``, and ``Sigma_t - X = A^t (Sigma_0 - X) A^t*`` with ``0 <=
+    Sigma_0, X <= 1``, so ``||Sigma_S(t) - Delta|| <= ||A^t||^2`` (see
+    :meth:`relaxation_horizon`).
 
     ``boundary="periodic"`` wraps the window into a finite ring, the model
-    that :class:`FockOracle` is compared against, and steps all of it.
+    that :class:`FockOracle` is compared against, and holds all of it.
     """
 
     window: Window
@@ -90,51 +87,42 @@ class CovarianceState:
 
     def __post_init__(self):
         window, L = self.window, self.env.max_degree
-        if self.boundary == "open" and (window.a > 0 or window.b < L):
-            raise CouplingError(
-                f"open window [{window.a}, {window.b}] must hold sites 0..L_max = {L}")
+        if self.boundary == "open":
+            if window.a > 0 or window.b < L:
+                raise CouplingError(
+                    f"open window [{window.a}, {window.b}] must hold sites 0..L_max = {L}")
+            self.window = window = Window(window.a, L, window.m)
         self.W = np.asarray(self.W, dtype=complex)
         d = self.W.shape[0]
-        # the sites a step touches: a..L_max when open, the whole ring when periodic
-        stepped = Window(window.a, L if self.boundary == "open" else window.b, window.m)
-        self._T = one_step_joint_operator(stepped, self.env, self.W, self.coupling,
+        self._T = one_step_joint_operator(window, self.env, self.W, self.coupling,
                                           self.boundary)
         if self.sample_symbol is None:
             xi = np.zeros((d, d), dtype=complex)
         else:
             xi = np.asarray(self.sample_symbol, dtype=complex)
-            evals = np.linalg.eigvalsh(xi)
-            if evals.min() < -1e-10 or evals.max() > 1.0 + 1e-10:
-                raise CouplingError("sample symbol must satisfy 0 <= Xi <= 1")
+            check_symbol_spectrum(np.linalg.eigvalsh(xi), "sample symbol Xi")
         self.sample_symbol = xi
-        sigma_env = build_truncated_symbol(self.env, (window.a, window.b))
-        self.sigma = np.zeros((window.joint_dim(d),) * 2, dtype=complex)
-        ne, ns = window.env_dim, stepped.env_dim
-        self.sigma[:ne, :ne] = sigma_env
+        ne = window.env_dim
+        self.sigma = np.zeros((ne + d, ne + d), dtype=complex)
+        self.sigma[:ne, :ne] = build_truncated_symbol(self.env, (window.a, window.b))
         self.sigma[ne:, ne:] = xi
-        self._block = np.ix_(*2 * (np.r_[:ns, ne:ne + d],))
-        # the rows of the block's right-edge site, restored after each open step
-        self._inflow = slice(ns - window.m, ns)
-        self._inflow_rows = self.sigma[self._block][self._inflow]
+        # the rows of the right-edge site, restored after each open step
+        self._inflow = slice(ne - window.m, ne)
+        self._inflow_rows = self.sigma[self._inflow].copy()
 
     @property
     def d(self) -> int:
         return self.W.shape[0]
 
-    def _step_once(self):
-        """One step ``T Sigma T*`` of the stepped block, then the open inflow restore."""
-        T = self._T
-        block = T @ self.sigma[self._block] @ T.conj().T
-        if self.boundary == "open":
-            block[self._inflow] = self._inflow_rows
-            block[:, self._inflow] = self._inflow_rows.conj().T
-        self.sigma[self._block] = block
-        self.t += 1
-
     def step(self, steps: int = 1) -> "CovarianceState":
-        """Advance ``steps`` steps, writing ``sigma`` in place."""
+        """Advance ``steps`` steps of ``T sigma T*``, each followed by the open inflow restore."""
+        T, T_adj = self._T, self._T.conj().T
         for _ in range(steps):
-            self._step_once()
+            self.sigma = T @ self.sigma @ T_adj
+            if self.boundary == "open":
+                self.sigma[self._inflow] = self._inflow_rows
+                self.sigma[:, self._inflow] = self._inflow_rows.conj().T
+            self.t += 1
         return self
 
     def sample_block(self) -> np.ndarray:
@@ -144,7 +132,6 @@ class CovarianceState:
     def relaxation_horizon(self, tol: float = 1e-9) -> int:
         """First ``t`` with ``C_A^2 q_A^(2t) <= tol``; ``(C_A, q_A)`` certifies the open step ``A``.
 
-        ``A`` acts on the stepped block of sites ``a..L_max`` and the sample.
         For every sample symbol ``0 <= Xi <= 1`` the sample block is then
         within ``tol`` of ``Delta`` after ``t`` steps (proof in the class docstring).
         """
@@ -469,8 +456,7 @@ class FockOracle:
         lam_e, vec_e = np.linalg.eigh(sigma[:E, :E])
         lam_s, vec_s = np.linalg.eigh(sigma[E:, E:])
         lam = np.concatenate([lam_e, lam_s])
-        if lam.min() < -1e-10 or lam.max() > 1.0 + 1e-10:
-            raise CouplingError("initial joint symbol escapes [0, 1]")
+        check_symbol_spectrum(lam, "initial joint symbol")
         lam = np.clip(lam, 0.0, 1.0)
         frac = np.where((lam > 1e-12) & (lam < 1.0 - 1e-12))[0]
         filled = np.where(lam >= 1.0 - 1e-12)[0]

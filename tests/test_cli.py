@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from fermiwalk.asymptotics import asymptotic_symbol
 from fermiwalk.cli import main, matrix_to_csv, run
 from fermiwalk.config import (COMMAND_OPTIONS, COMMANDS, ConfigError, canonical_json,
                               config_hash, load_config, parse_config)
-from fermiwalk.coupling import MAX_HORIZON
+from fermiwalk.coupling import MAX_HORIZON, Window
 from fermiwalk.simulate import CovarianceState
 from fermiwalk.walk import WalkSpec
 
@@ -320,6 +321,13 @@ class TestCommands:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 0
         assert calls == {"build": 1, "spr": 1}
 
+    def test_profile_needs_a_cycle_walk(self, tmp_path, capsys):
+        cfg = dict(BASE_CONFIG, walk=TestConfigParsing.REGULAR)
+        path = write_config(tmp_path, cfg)
+        assert main(["profile", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "profile needs a cycle walk" in capsys.readouterr().err
+        assert not (tmp_path / "profile.json").exists()
+
     def test_non_contractive_exits_3(self, tmp_path):
         cfg = dict(BASE_CONFIG)
         cfg["walk"] = {"kind": "cycle", "n": 4, "coins": {"kind": "hadamard"}}
@@ -370,6 +378,17 @@ class TestCommands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "sample_trace", "error_to_delta"]
         assert len(rows) == 41
+        # reference: the trace and the norm of each step's sample block, taken
+        # one step at a time, equal the file's entries bit for bit
+        cfg = load_config(path)
+        W, _ = cfg.built_walk
+        env, coup = cfg.environment, cfg.coupling()
+        delta = asymptotic_symbol(env, W, coup).delta
+        cov = CovarianceState(Window(0, env.max_degree, env.m), env, W, coup)
+        for t, row in enumerate(rows[1:], 1):
+            block = cov.step(1).sample_block()
+            assert [int(row[0]), float(row[1]), float(row[2])] == [
+                t, float(np.trace(block).real), float(np.linalg.norm(block - delta))]
         with open(tmp_path / "convergence.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "log_error"]

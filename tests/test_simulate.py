@@ -36,11 +36,18 @@ def env_m2():
 V2 = np.array([np.sqrt(0.4), np.sqrt(0.6)], dtype=complex)
 
 
+def held_block(sigma, win, L):
+    """The block of sites ``win.a..L`` and the sample of a joint matrix on the whole window."""
+    keep = np.r_[:win.site_offset(L) + win.m, win.env_dim:sigma.shape[0]]
+    return sigma[np.ix_(keep, keep)]
+
+
 class TestCovarianceBasics:
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_block_step_matches_operator_conjugation(self, boundary):
-        # the step equals dense T Sigma T* with the joint operator, followed on
-        # the open window by restoring the inflow site's rows
+        # the step equals dense T Sigma T* with the joint operator on the whole
+        # window, followed on the open window by restoring the site-b inflow
+        # rows; the open state holds its sites a..L_max and the sample
         rng = np.random.default_rng(6)
         U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
         env = EnvironmentSpec(U, [SymbolFunction((0.5, 0.1, 0.05)),
@@ -51,7 +58,8 @@ class TestCovarianceBasics:
         win = Window(-3, 6, 2)
         state = CovarianceState(win, env, W, coup, boundary=boundary)
         T = one_step_joint_operator(win, env, W, coup, boundary=boundary)
-        sigma0 = state.sigma.copy()
+        sigma0 = scipy.linalg.block_diag(build_truncated_symbol(env, (win.a, win.b)),
+                                         np.zeros((4, 4)))
         inflow = slice(win.env_dim - 2, win.env_dim)
         ref = sigma0.copy()
         for _ in range(5):
@@ -60,6 +68,8 @@ class TestCovarianceBasics:
                 ref[inflow, :] = sigma0[inflow, :]
                 ref[:, inflow] = sigma0[:, inflow]
         state.step(5)
+        if boundary == "open":
+            ref = held_block(ref, win, env.max_degree)
         assert np.abs(state.sigma - ref).max() <= 1e-14
 
     def test_uncoupled_sample_evolves_freely(self):
@@ -75,20 +85,29 @@ class TestCovarianceBasics:
         expected = np.linalg.matrix_power(W, 10) @ xi @ np.linalg.matrix_power(W.conj().T, 10)
         assert np.abs(state.sample_block() - expected).max() <= 1e-12
 
-    def test_downstream_pair_expectations_frozen(self):
-        # translation invariance of the incoming reservoir: pair expectations
-        # of not-yet-interacted sites are constant in time
-        W, psi = rotation_walk()
-        env = env_m1()
+    def test_open_state_holds_sites_to_l_max_and_the_sample(self):
+        # sites past L_max keep their Sigma_0 rows, so an open state on a
+        # longer window holds (L_max - a + 1) m + d modes and no site past L_max
+        W, psi = rotation_walk((0.5, 1.1))
+        env = env_m2()
+        coup = CouplingSpec(0.9, V2, psi)
+        state = CovarianceState(Window(-4, 128, 2), env, W, coup)
+        assert state.window == Window(-4, 2, 2)
+        assert state.sigma.shape == (18, 18)
+        state.step(3)
+        assert state.sigma.shape == (18, 18)
+        state.env_vector(2, [1.0, 0.0])
+        with pytest.raises(CouplingError, match="outside window"):
+            state.env_vector(3, [1.0, 0.0])
+
+    def test_sample_symbol_outside_unit_interval_rejected(self):
+        W, psi = rotation_walk((0.5, 1.1))
         coup = CouplingSpec(0.9, np.array([1.0]), psi)
-        state = CovarianceState(Window(-3, 24, 1), env, W, coup)
-        f = state.env_vector(6, [1.0])
-        g = state.env_vector(8, [1.0])
-        ref = state.pair_expectation(f, g)
-        assert ref == pytest.approx(env.sigma_element(8, [1.0], 6, [1.0]), abs=1e-13)
-        for _ in range(5):
-            state.step(1)
-            assert state.pair_expectation(f, g) == pytest.approx(ref, abs=1e-12)
+        xi = np.diag([1.1, 0.5, 0.0, 0.2])
+        for boundary in ("open", "periodic"):
+            with pytest.raises(CouplingError, match="escapes"):
+                CovarianceState(Window(-2, 2, 1), env_m1(), W, coup, boundary=boundary,
+                                sample_symbol=xi)
 
     def test_positivity_preserved(self):
         W, psi = rotation_walk()
@@ -211,10 +230,11 @@ class TestFiniteTimeFormulas:
                 for t in (0, 3, 17)]
         assert np.allclose(vals, vals[0])
         # against the windowed symbol matrix
-        state = CovarianceState(Window(-3, 8, 2), env, W, coup)
-        f = state.env_vector(2, e0) + 0.5 * state.env_vector(3, e1)
-        g = state.env_vector(2, e1)
-        assert vals[0] == pytest.approx(state.pair_expectation(f, g), abs=1e-13)
+        win = Window(-3, 8, 2)
+        f = win.joint_env_vector(2, e0, 0) + 0.5 * win.joint_env_vector(3, e1, 0)
+        g = win.joint_env_vector(2, e1, 0)
+        sigma = build_truncated_symbol(env, (win.a, win.b))
+        assert vals[0] == pytest.approx(np.vdot(g, sigma @ f), abs=1e-13)
 
     def test_bb_requires_downstream_support(self):
         env = env_m2()
@@ -486,13 +506,15 @@ def open_window_instances(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(open_window_instances(), st.integers(1, 12))
 def test_open_step_matches_full_window_conjugation(instance, steps):
-    # the step on sites a..L_max and the sample against dense T Sigma T* on
-    # the whole window with the site-b inflow restored; sites past L_max are
-    # never touched and keep their Sigma_0 rows and columns exactly
+    # the state on sites a..L_max and the sample against dense T Sigma T* on
+    # the whole window with the site-b inflow restored; in the reference the
+    # sites from L_max on keep their Sigma_0 rows and columns, which is why
+    # the state holds no site past L_max and restores the rows of site L_max
     env, W, coup, xi, win = instance
+    L = env.max_degree
     state = CovarianceState(win, env, W, coup, sample_symbol=xi)
     T = one_step_joint_operator(win, env, W, coup, "open")
-    sigma0 = state.sigma.copy()
+    sigma0 = scipy.linalg.block_diag(build_truncated_symbol(env, (win.a, win.b)), xi)
     inflow = slice(win.env_dim - env.m, win.env_dim)
     ref = sigma0.copy()
     for _ in range(steps):
@@ -500,10 +522,11 @@ def test_open_step_matches_full_window_conjugation(instance, steps):
         ref[inflow, :] = sigma0[inflow, :]
         ref[:, inflow] = sigma0[:, inflow]
     state.step(steps)
-    assert np.abs(state.sigma - ref).max() <= 1e-13
-    fresh = slice(win.site_offset(env.max_degree) + env.m, win.env_dim)
-    assert np.array_equal(state.sigma[fresh], sigma0[fresh])
-    assert np.array_equal(state.sigma[:, fresh], sigma0[:, fresh])
+    assert state.sigma.shape == ((L - win.a + 1) * env.m + W.shape[0],) * 2
+    assert np.abs(state.sigma - held_block(ref, win, L)).max() <= 1e-13
+    fresh = slice(win.site_offset(L), win.env_dim)
+    assert np.abs(ref[fresh] - sigma0[fresh]).max() <= 1e-13
+    assert np.abs(ref[:, fresh] - sigma0[:, fresh]).max() <= 1e-13
 
 
 def det_blocks(V):
@@ -816,6 +839,13 @@ class TestFockOracle:
         for walk, star, win in ((W, psi, Window(-3, 6, 1)), (swap, np.eye(2)[0], Window(-5, 6, 1))):
             with pytest.raises(CouplingError, match="refuses"):
                 FockOracle(env, walk, CouplingSpec(0.9, np.array([1.0]), star), win)
+
+    def test_sample_symbol_outside_unit_interval_rejected(self):
+        W, psi = rotation_walk((0.5, 1.1))
+        coup = CouplingSpec(0.9, np.array([1.0]), psi)
+        xi = np.diag([1.1, 0.5, 0.0, 0.2])
+        with pytest.raises(CouplingError, match="escapes"):
+            FockOracle(env_m1(), W, coup, Window(-2, 1, 1), sample_symbol=xi)
 
     def test_refuses_oversized_ensembles(self):
         # 4 reservoir + 8 sample modes, all fractionally filled: 2^12 states
