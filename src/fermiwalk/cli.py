@@ -32,11 +32,11 @@ from .asymptotics import (asymptotic_symbol, flux_expectations,
 from .config import (COMMAND_OPTIONS, COMMAND_SECTIONS, COMMANDS, ConfigError,
                      ExperimentConfig, canonical_json, encode_complex_matrix, load_config,
                      read_json)
-from .coupling import SPR_MAX, CouplingError, Window, is_cyclic, spectral_radius
+from .coupling import CouplingError, Window, is_contractive, is_cyclic, spectral_radius
 from .disorder import (averaged_density, density_of_states,
                        enlarged_band_intervals, exact_band_intervals,
                        phases_in_bands)
-from .environment import SYMBOL_SLACK, ReservoirError, validate_symbol
+from .environment import ReservoirError, validate_symbol
 from .simulate import CovarianceState, FockOracle
 from .walk import WalkError, check_unitary
 
@@ -101,11 +101,9 @@ def _cmd_validate(cfg, outdir, seed, threads):
             "bound": "0 <= 2 Re F_i(e^{i phi}) <= 1",
         }
         if not rep.passed:
-            bad = [i for i, (lo, hi) in enumerate(zip(rep.minima, rep.maxima))
-                   if lo < -SYMBOL_SLACK or hi > 1 + SYMBOL_SLACK]
             report["environment"]["violations"] = [
                 {"sector": i, "min": rep.minima[i], "max": rep.maxima[i],
-                 "worst_phi": rep.worst_phi[i]} for i in bad]
+                 "worst_phi": rep.worst_phi[i]} for i in rep.violations]
     if cfg.coupling_v is not None and cfg.environment is not None:
         coup = cfg.coupling(cfg.alpha_values[0])
         report["coupling"] = {
@@ -113,7 +111,7 @@ def _cmd_validate(cfg, outdir, seed, threads):
             "weights": list(map(float, coup.weights(cfg.environment))),
         }
         if cfg.walk is not None:
-            report["coupling"]["contractive"] = spectral_radius(W, psi, coup.alpha) < SPR_MAX
+            report["coupling"]["contractive"] = is_contractive(spectral_radius(W, psi, coup.alpha))
     return report
 
 
@@ -209,7 +207,7 @@ def _cmd_oracle_check(cfg, outdir, seed, threads):
     except CouplingError as exc:
         raise ConfigError(f"oracle_check: {exc}; shrink the window or the sample") from exc
     oracle = FockOracle(cfg.environment, W, coup, window)
-    cov = CovarianceState(window, cfg.environment, W, coup, boundary="periodic")
+    cov = CovarianceState(window, cfg.environment, W, coup, periodic=True)
     worst = float(np.abs(oracle.two_point_matrix() - cov.sigma).max())
     per_step = []
     for t in range(1, steps + 1):

@@ -9,12 +9,12 @@ one-particle sample map after one step is the contraction
     M = W (1 + (cos(alpha) - 1) P),
 
 whose spectral radius drops below 1 exactly when ``psi*`` is cyclic for ``W``
-and ``alpha`` is not a multiple of pi; ``spr(M) < SPR_MAX`` is the one test
-of both (:func:`is_cyclic` asks it at ``alpha = pi/2``).  Since ``spr(M) >=
-|det M|^(1/d) = |cos alpha|^(1/d)``, it refuses every ``alpha`` within 1e-8
-of a multiple of pi.  ``M`` is a rank-one perturbation of the unitary
-``W = sum_k lambda_k x_k x_k^*``, so its eigenvalues are the roots of the
-secular equation
+and ``alpha`` is not a multiple of pi; ``spr(M) < SPR_MAX``
+(:func:`is_contractive`) is the one test of both (:func:`is_cyclic` asks it
+at ``alpha = pi/2``).  Since ``spr(M) >= |det M|^(1/d) = |cos alpha|^(1/d)``,
+it refuses every ``alpha`` within 1e-8 of a multiple of pi.  ``M`` is a
+rank-one perturbation of the unitary ``W = sum_k lambda_k x_k x_k^*``, so
+its eigenvalues are the roots of the secular equation
 
     1 = (cos(alpha) - 1) sum_k w_k lambda_k / (z - lambda_k),   w_k = |<x_k, psi*>|^2
 
@@ -27,8 +27,9 @@ through :func:`orbit`: every return amplitude and the Moller block.
 
 The joint one-particle space used by the simulators is a site window of the
 reservoir followed by the sample; see :class:`Window` for the layout.  Its
-operators are dense arrays: the open covariance engine steps only sites
-``a..L_max`` and the sample, and the oracle's periodic windows are small.
+operators are dense arrays, and the joint step is the ring step alone
+(:func:`one_step_joint_operator`); the open boundary lives in
+:class:`~fermiwalk.simulate.CovarianceState`.
 """
 
 from __future__ import annotations
@@ -49,11 +50,13 @@ __all__ = [
     "Window",
     "build_contraction",
     "spectral_radius",
+    "is_contractive",
     "is_cyclic",
     "decay_certificate",
     "horizon",
     "check_symbol_spectrum",
     "exchange_rotation",
+    "coupling_plane",
     "one_step_joint_operator",
     "orbit",
     "moller_sample_block",
@@ -133,7 +136,7 @@ class ContractionM:
 
     @property
     def contractive(self) -> bool:
-        return self.spectral_radius < SPR_MAX
+        return is_contractive(self.spectral_radius)
 
     @cached_property
     def certificate(self) -> tuple[float, float]:
@@ -196,6 +199,11 @@ def spectral_radius(W: np.ndarray, psi_star: np.ndarray, alpha: float,
     return float(1.0 - gap / (1.0 + np.sqrt(max(1.0 - gap, 0.0))))
 
 
+def is_contractive(spr: float) -> bool:
+    """The one contraction gate, ``spr < SPR_MAX`` (NaN fails it)."""
+    return spr < SPR_MAX
+
+
 def is_cyclic(W: np.ndarray, psi: np.ndarray) -> tuple[bool, float]:
     """``(spr < SPR_MAX, 1 - spr)`` for the full-exchange contraction ``W (1 - P)``.
 
@@ -206,7 +214,7 @@ def is_cyclic(W: np.ndarray, psi: np.ndarray) -> tuple[bool, float]:
     ``W`` and ``psi`` are assumed as in :func:`build_contraction`, and ``M`` is not formed.
     """
     spr = spectral_radius(W, psi, 0.5 * np.pi)
-    return spr < SPR_MAX, 1.0 - spr
+    return is_contractive(spr), 1.0 - spr
 
 
 def _secular_gap(phases: np.ndarray, weights: np.ndarray, c: float) -> float:
@@ -290,7 +298,7 @@ def decay_certificate(M: np.ndarray, spr: float | None = None) -> tuple[float, f
     M = np.asarray(M, dtype=complex)
     if spr is None:
         spr = float(np.max(np.abs(np.linalg.eigvals(M))))
-    if spr >= SPR_MAX:
+    if not is_contractive(spr):
         raise CouplingError(f"spr = {spr:.12f} is not < 1: no decay certificate")
     q = spr + (1.0 - spr) / 32.0
     B = M / q
@@ -362,11 +370,10 @@ class Window:
         return out
 
 
-def shift_matrix(n_sites: int, periodic: bool) -> np.ndarray:
-    """The dense site shift ``delta_k -> delta_{k-1}`` on the window (wrap if periodic)."""
+def shift_matrix(n_sites: int) -> np.ndarray:
+    """The dense site shift ``delta_k -> delta_{k-1}`` on the window closed into a ring."""
     S = np.eye(n_sites, k=1)
-    if periodic:
-        S[-1, 0] = 1.0
+    S[-1, 0] = 1.0
     return S
 
 
@@ -376,42 +383,40 @@ def exchange_rotation(alpha: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
+def coupling_plane(window: Window, coupling: CouplingSpec, d: int) -> np.ndarray:
+    """``Vc = [delta_0 (x) v | psi*]``: the joint-space columns the exchange rotation acts on."""
+    return np.stack([window.joint_env_vector(0, coupling.v, d),
+                     window.joint_sample_vector(coupling.star())], axis=1)
+
+
 def coupling_exponential(window: Window, coupling: CouplingSpec, d: int) -> np.ndarray:
     """``exp(-i alpha (iota + iota*))`` on the joint window space, as a dense matrix.
 
-    Computed in closed form on the invariant plane spanned by
-    ``delta_0 (x) v`` and ``psi*``: the rank-2 update
-    ``1 + Vc (R - 1) Vc^H`` with ``Vc = [delta_0 (x) v | psi*]`` and ``R``
-    the :func:`exchange_rotation`; identity elsewhere.
+    Computed in closed form on the invariant :func:`coupling_plane` ``Vc``:
+    the rank-2 update ``1 + Vc (R - 1) Vc^H`` with ``R`` the
+    :func:`exchange_rotation`; identity elsewhere.
     """
-    Vc = np.stack([window.joint_env_vector(0, coupling.v, d),
-                   window.joint_sample_vector(coupling.star())], axis=1)
+    Vc = coupling_plane(window, coupling, d)
     C = exchange_rotation(coupling.alpha) - np.eye(2)
     return np.eye(window.joint_dim(d), dtype=complex) + Vc @ C @ Vc.conj().T
 
 
-def _free_step(window: Window, env: EnvironmentSpec, W: np.ndarray,
-               periodic: bool) -> np.ndarray:
-    """The dense uncoupled step ``S_w (x) U  (+)  W`` on the windowed joint space."""
-    return scipy.linalg.block_diag(np.kron(shift_matrix(window.n_sites, periodic), env.U), W)
+def _free_step(window: Window, env: EnvironmentSpec, W: np.ndarray) -> np.ndarray:
+    """The dense uncoupled step ``S_w (x) U  (+)  W`` on the window closed into a ring."""
+    return scipy.linalg.block_diag(np.kron(shift_matrix(window.n_sites), env.U), W)
 
 
 def one_step_joint_operator(window: Window, env: EnvironmentSpec, W: np.ndarray,
-                            coupling: CouplingSpec,
-                            boundary: str = "open") -> np.ndarray:
-    """One step of the coupled one-particle dynamics on the windowed joint space, dense.
+                            coupling: CouplingSpec) -> np.ndarray:
+    """One step of the coupled one-particle dynamics on the window closed into a ring, dense.
 
     ``T = (S_w (x) U  (+)  W) exp(-i alpha (iota + iota*))`` -- the coupling
-    rotation acts first, then the free step.  With ``boundary="open"`` the
-    shift drops the outgoing site and zero-fills the incoming one (an
-    isometry away from the edges); ``"periodic"`` wraps the window, giving an
-    exactly unitary step for oracle comparisons.
+    rotation acts first, then the free step, whose shift wraps site ``a``
+    into site ``b``.  ``T`` is exactly unitary; an open
+    :class:`~fermiwalk.simulate.CovarianceState` zeroes its site-``b`` rows.
     """
-    if boundary not in ("open", "periodic"):
-        raise CouplingError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     W = np.asarray(W, dtype=complex)
-    free = _free_step(window, env, W, boundary == "periodic")
-    return free @ coupling_exponential(window, coupling, W.shape[0])
+    return _free_step(window, env, W) @ coupling_exponential(window, coupling, W.shape[0])
 
 
 def orbit(A: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:

@@ -170,6 +170,14 @@ def _eigenphases(W: np.ndarray, model: DisorderModel) -> np.ndarray:
     return unitary_spectrum(W, pole=-model.theta0)[0]
 
 
+def _map_draws(samples: int, threads: int | None, *fns) -> list[list]:
+    """Each of ``fns`` over the draws ``0..samples-1``, on one pool if ``threads > 1``."""
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return [list(pool.map(fn, range(samples))) for fn in fns]
+    return [[fn(i) for i in range(samples)] for fn in fns]
+
+
 def density_of_states(model: DisorderModel, samples: int, bins: int = 512,
                       threads: int | None = None) -> DOSEstimate:
     """Monte Carlo density of eigenvalue phases of ``W(omega)`` in ``[0, 2 pi)``.
@@ -188,11 +196,7 @@ def density_of_states(model: DisorderModel, samples: int, bins: int = 512,
         hist, _ = np.histogram(phases, bins=edges)
         return hist / (2.0 * model.n)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_sample = list(pool.map(one, range(samples)))
-    else:
-        per_sample = [one(i) for i in range(samples)]
+    per_sample, = _map_draws(samples, threads, one)
     stack = np.stack(per_sample)
     mass = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / np.sqrt(samples) if samples > 1 else np.zeros(bins)
@@ -307,13 +311,7 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
     def dos_value(index: int):
         return _trace_density(F, sample_disordered_walk(model, samples + index))
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trace_vals = list(pool.map(trace_value, range(samples)))
-            dos_vals = list(pool.map(dos_value, range(samples)))
-    else:
-        trace_vals = [trace_value(i) for i in range(samples)]
-        dos_vals = [dos_value(i) for i in range(samples)]
+    trace_vals, dos_vals = _map_draws(samples, threads, trace_value, dos_value)
     skipped = [i for i, (v, _) in enumerate(trace_vals) if v is None]
     kept = np.array([v for v, _ in trace_vals if v is not None])
     if len(kept) < 2:

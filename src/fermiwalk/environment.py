@@ -197,12 +197,16 @@ class EnvironmentSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the circle-density admissibility check."""
+    """Outcome of the circle-density admissibility check; ``violations`` are the failed sectors."""
 
-    passed: bool
     minima: tuple
     maxima: tuple
     worst_phi: tuple
+    violations: tuple
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def __str__(self):
         lines = [f"symbol validation: {'PASS' if self.passed else 'FAIL'} "
@@ -220,13 +224,12 @@ def validate_symbol(spec: EnvironmentSpec) -> ValidationReport:
     extrema sit at unit-circle roots of the degree-``2L`` polynomial
     ``z^L g_i'(z)``.  ``g_i`` is evaluated at the angles of all its roots
     (and at ``phi = 0``), which gives the exact extrema up to round-off.
-    Reports per-sector extrema; passes iff every sector stays inside
-    ``[0, 1]`` within ``SYMBOL_SLACK``.  Violations are reported (with the
-    worst angle), not raised.
+    Reports per-sector extrema and the sectors that leave ``[0, 1]`` by more
+    than ``SYMBOL_SLACK``; violations are reported (with the worst angle),
+    not raised.
     """
-    minima, maxima, worst = [], [], []
-    passed = True
-    for f in spec.symbol_functions:
+    minima, maxima, worst, violations = [], [], [], []
+    for i, f in enumerate(spec.symbol_functions):
         c = np.asarray(f.coefficients)
         L = f.degree
         ell = np.arange(1, L + 1)
@@ -240,8 +243,8 @@ def validate_symbol(spec: EnvironmentSpec) -> ValidationReport:
         maxima.append(hi)
         worst.append(float(phi[int(np.argmax(np.maximum(-g, g - 1.0)))]))
         if lo < -SYMBOL_SLACK or hi > 1.0 + SYMBOL_SLACK:
-            passed = False
-    return ValidationReport(passed, tuple(minima), tuple(maxima), tuple(worst))
+            violations.append(i)
+    return ValidationReport(tuple(minima), tuple(maxima), tuple(worst), tuple(violations))
 
 
 def eval_series(F: SymbolFunction, B: np.ndarray) -> np.ndarray:

@@ -3,12 +3,11 @@
 Three independent routes to the same expectations:
 
 * :class:`CovarianceState` propagates the joint one-particle symbol
-  ``Sigma_{t+1} = T Sigma_t T*`` on a reservoir window.  The open boundary is
-  the exact infinite reservoir: every site from ``L_max`` on keeps its rows
-  of ``Sigma_0``, so the state holds only sites ``a..L_max`` and the sample,
-  and a step is one dense product at ``O(((L_max - a + 1) m + d)^3)``.
-  The periodic boundary is the finite ring model that the oracle is compared
-  against;
+  ``Sigma_{t+1} = T Sigma_t T*`` on a reservoir window closed into a ring,
+  the finite model that the oracle is compared against, or on the exact
+  infinite reservoir: there every site from ``L_max`` on keeps its rows of
+  ``Sigma_0``, so the state holds only sites ``a..L_max`` and the sample, and
+  a step is one dense product at ``O(((L_max - a + 1) m + d)^3)``;
 * :func:`finite_time_pair_expectation` evaluates the explicit finite-time
   sums for pair expectations, with the reservoir brackets reduced to symbol
   coefficients;
@@ -30,8 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import (CouplingError, CouplingSpec, Window, _free_step, build_contraction,
-                       check_symbol_spectrum, decay_certificate, exchange_rotation, horizon,
-                       one_step_joint_operator, orbit)
+                       check_symbol_spectrum, coupling_plane, decay_certificate,
+                       exchange_rotation, horizon, one_step_joint_operator, orbit)
 from .environment import EnvironmentSpec, build_truncated_symbol
 from .walk import householder_vector
 
@@ -48,54 +47,50 @@ __all__ = [
 
 @dataclass
 class CovarianceState:
-    """Joint one-particle symbol of the modes that evolve, under ``Sigma -> T Sigma T*``.
+    """Joint one-particle symbol of the modes that evolve, under ``Sigma -> A Sigma A*``.
 
-    ``T`` is :func:`~fermiwalk.coupling.one_step_joint_operator` on ``window``.
-    Layout of ``sigma``: reservoir sites first (site-major), then the sample.
+    ``T`` is :func:`~fermiwalk.coupling.one_step_joint_operator`, the step of
+    ``window`` closed into a ring.  Layout of ``sigma``: reservoir sites
+    first (site-major), then the sample.  ``periodic=True`` is that finite
+    ring, the model :class:`FockOracle` is compared against: ``A = T``.
 
-    ``boundary="open"`` is the exact infinite reservoir at every ``t``.
-    Proof: ``Sigma_t[i, j] = <T^{t*} e_i, Sigma_0 T^{t*} e_j>``.  The backward
-    vector of a site ``k >= 0`` is a pure shift to site ``k + t``, while the
-    sample and every site that has met the coupling have backward vectors on
-    sites ``< t`` and the sample.  For ``k >= L_max`` the rows of site ``k``
-    are therefore its rows of ``Sigma_0`` at all times: the Toeplitz entries
-    with the fresh sites and zero elsewhere.  The outgoing left sites never
-    act back (the shift is one-way), so an open window must hold sites
-    ``0..L_max``, and the state holds only sites ``a..L_max`` and the sample:
-    ``window`` is cut to ``Window(a, L_max, m)``, ``sigma`` is ``N_act =
-    (L_max - a + 1) m + d`` square, and a step is one dense ``T sigma T*``.
-    The open shift zero-fills site ``L_max``, whose rows are then restored
-    from ``Sigma_0``: the step is exactly ``Sigma -> A Sigma A* + J``, with
-    ``A = T`` with its inflow rows zeroed and ``J`` the inflow rows and
-    columns of ``Sigma_0``.  Its fixed point ``X`` has sample block
-    ``Delta``, and ``Sigma_t - X = A^t (Sigma_0 - X) A^t*`` with ``0 <=
-    Sigma_0, X <= 1``, so ``||Sigma_S(t) - Delta|| <= ||A^t||^2`` (see
-    :meth:`relaxation_horizon`).
-
-    ``boundary="periodic"`` wraps the window into a finite ring, the model
-    that :class:`FockOracle` is compared against, and holds all of it.
+    The default, open state is the exact infinite reservoir at every ``t``.
+    Proof: ``Sigma_t[i, j] = <T_inf^{t*} e_i, Sigma_0 T_inf^{t*} e_j>`` for the
+    infinite reservoir's step ``T_inf``.  The backward vector of a site
+    ``k >= 0`` is a pure shift to site ``k + t``, while the sample and every
+    site that has met the coupling have backward vectors on sites ``< t`` and
+    the sample.  So for ``k >= L_max`` the rows of site ``k`` are its rows of
+    ``Sigma_0`` at all times, and the outgoing left sites never act back (the
+    shift is one-way): an open window must hold sites ``0..L_max``, ``window``
+    is cut to ``Window(a, L_max, m)``, and ``sigma`` is
+    ``N_act = (L_max - a + 1) m + d`` square.  On the other rows ``T_inf``
+    is ``T``, so the step is exactly ``Sigma -> A Sigma A* + J``, with ``A``
+    the ring step with the inflow rows of site ``L_max`` zeroed and ``J``
+    their rows and columns of ``Sigma_0``, which :meth:`step` restores.  Its
+    fixed point ``X`` has sample block ``Delta``, and ``Sigma_t - X = A^t
+    (Sigma_0 - X) A^t*`` with ``0 <= Sigma_0, X <= 1``, so
+    ``||Sigma_S(t) - Delta|| <= ||A^t||^2``.
     """
 
     window: Window
     env: EnvironmentSpec
     W: np.ndarray
     coupling: CouplingSpec
-    boundary: str = "open"
+    periodic: bool = False
     sample_symbol: np.ndarray | None = None
     sigma: np.ndarray = field(init=False)
     t: int = field(init=False, default=0)
 
     def __post_init__(self):
         window, L = self.window, self.env.max_degree
-        if self.boundary == "open":
+        if not self.periodic:
             if window.a > 0 or window.b < L:
                 raise CouplingError(
                     f"open window [{window.a}, {window.b}] must hold sites 0..L_max = {L}")
             self.window = window = Window(window.a, L, window.m)
         self.W = np.asarray(self.W, dtype=complex)
         d = self.W.shape[0]
-        self._T = one_step_joint_operator(window, self.env, self.W, self.coupling,
-                                          self.boundary)
+        self._A = one_step_joint_operator(window, self.env, self.W, self.coupling)
         if self.sample_symbol is None:
             xi = np.zeros((d, d), dtype=complex)
         else:
@@ -106,20 +101,21 @@ class CovarianceState:
         self.sigma = np.zeros((ne + d, ne + d), dtype=complex)
         self.sigma[:ne, :ne] = build_truncated_symbol(self.env, (window.a, window.b))
         self.sigma[ne:, ne:] = xi
-        # the rows of the right-edge site, restored after each open step
-        self._inflow = slice(ne - window.m, ne)
-        self._inflow_rows = self.sigma[self._inflow].copy()
+        if not self.periodic:     # the rows of site L_max, restored after each step
+            self._inflow = slice(ne - window.m, ne)
+            self._A[self._inflow] = 0.0
+            self._inflow_rows = self.sigma[self._inflow].copy()
 
     @property
     def d(self) -> int:
         return self.W.shape[0]
 
     def step(self, steps: int = 1) -> "CovarianceState":
-        """Advance ``steps`` steps of ``T sigma T*``, each followed by the open inflow restore."""
-        T, T_adj = self._T, self._T.conj().T
+        """Advance ``steps`` steps of ``A sigma A*``, each followed by the open inflow restore."""
+        A, A_adj = self._A, self._A.conj().T
         for _ in range(steps):
-            self.sigma = T @ self.sigma @ T_adj
-            if self.boundary == "open":
+            self.sigma = A @ self.sigma @ A_adj
+            if not self.periodic:
                 self.sigma[self._inflow] = self._inflow_rows
                 self.sigma[:, self._inflow] = self._inflow_rows.conj().T
             self.t += 1
@@ -133,13 +129,10 @@ class CovarianceState:
         """First ``t`` with ``C_A^2 q_A^(2t) <= tol``; ``(C_A, q_A)`` certifies the open step ``A``.
 
         For every sample symbol ``0 <= Xi <= 1`` the sample block is then
-        within ``tol`` of ``Delta`` after ``t`` steps (proof in the class docstring).
+        within ``tol`` of ``Delta`` after ``t`` steps (proof in the class
+        docstring).  A periodic ``A`` is unitary, which the certificate refuses.
         """
-        if self.boundary != "open":
-            raise CouplingError("the relaxation horizon needs the open boundary")
-        A = self._T.copy()
-        A[self._inflow] = 0.0
-        C, q = decay_certificate(A)
+        C, q = decay_certificate(self._A)
         return horizon(C ** 2, q ** 2, tol)
 
     def pair_expectation(self, f: np.ndarray, g: np.ndarray) -> complex:
@@ -227,12 +220,13 @@ def flux_finite_time(state: CovarianceState, i: int) -> float:
     coupling rotation ``K`` moves particles, and only through site 0.  With
     ``u = delta_0 (x) x_i`` the flux is therefore
     ``<K* u, Sigma K* u> - <u, Sigma u>``.  ``K`` is the identity off the
-    plane ``Vc = [delta_0 (x) v | psi*]`` and the exchange rotation ``R`` on
-    it, so ``K* u = u + Vc (R* - 1) Vc* u``, and no joint-space matrix is formed.
+    span of :func:`~fermiwalk.coupling.coupling_plane` ``Vc`` and the
+    exchange rotation ``R`` on it, so ``K* u = u + Vc (R* - 1) Vc* u``, and no
+    joint-space matrix is formed.
     """
     coupling = state.coupling
     u = state.env_vector(0, state.env.eigenvectors[:, i])
-    Vc = np.stack([state.env_vector(0, coupling.v), state.sample_vector(coupling.star())], 1)
+    Vc = coupling_plane(state.window, coupling, state.d)
     Ku = u + Vc @ ((exchange_rotation(coupling.alpha).conj().T - np.eye(2)) @ (Vc.conj().T @ u))
     return float(np.real(state.pair_expectation(Ku, Ku) - state.pair_expectation(u, u)))
 
@@ -408,11 +402,11 @@ class FockOracle:
         self.E, self.d, self.D = E, d, D
         self.t = 0
 
+        Vc = coupling_plane(window, coupling, d)
         self.Q = Q = scipy.linalg.block_diag(             # Q[canonical, oracle mode]
-            _reflector(window.joint_env_vector(0, coupling.v, 0), E - 1),
-            _reflector(coupling.star(), 0))
+            _reflector(Vc[:E, 0], E - 1), _reflector(Vc[E:, 1], 0))
 
-        V = Q.conj().T @ _free_step(window, env, W, periodic=True) @ Q
+        V = Q.conj().T @ _free_step(window, env, W) @ Q
         self.G_E = gamma_blocks(V[:E, :E])
         self.G_S = gamma_blocks(V[E:, E:])
         # the coupling on the oracle modes E-1, E, i.e. delta_0 (x) v and psi*

@@ -114,7 +114,7 @@ def test_criterion_2_three_engine_agreement():
                 a, b = ORACLE_WINDOWS[(n, m)]
                 window = Window(a, b, m)
                 oracle = FockOracle(env, W, coup, window)
-                cov = CovarianceState(window, env, W, coup, boundary="periodic")
+                cov = CovarianceState(window, env, W, coup, periodic=True)
                 dev = np.abs(oracle.two_point_matrix() - cov.sigma).max()
                 for _ in range(20):
                     oracle.step()

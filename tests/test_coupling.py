@@ -420,10 +420,9 @@ class TestJointOperator:
                 rng.standard_normal(8) + 1j * rng.standard_normal(8))
             assert np.linalg.norm(T @ phi) == pytest.approx(np.linalg.norm(phi), abs=1e-12)
 
-    @pytest.mark.parametrize("boundary", ["open", "periodic"])
-    def test_window_needs_site_zero(self, boundary):
+    def test_window_needs_site_zero(self):
         with pytest.raises(CouplingError, match="outside"):
-            one_step_joint_operator(Window(1, 4, 1), self.env, self.W, self.coup, boundary)
+            one_step_joint_operator(Window(1, 4, 1), self.env, self.W, self.coup)
 
     def test_coupling_exponential_unitary(self):
         K = coupling_exponential(self.window, self.coup, 8)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fermiwalk.asymptotics import PoissonBinomial, asymptotic_symbol, flux_expectations
 from fermiwalk.coupling import (CouplingError, CouplingSpec, Window, build_contraction,
-                                exchange_rotation, one_step_joint_operator, shift_matrix)
+                                coupling_exponential, exchange_rotation,
+                                one_step_joint_operator, shift_matrix)
 from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
                                    build_truncated_symbol)
 from fermiwalk.simulate import (CovarianceState, FockOracle, _occupations, _reflector,
@@ -45,7 +46,7 @@ def held_block(sigma, win, L):
 class TestCovarianceBasics:
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_block_step_matches_operator_conjugation(self, boundary):
-        # the step equals dense T Sigma T* with the joint operator on the whole
+        # the step equals dense T Sigma T* with the ring step on the whole
         # window, followed on the open window by restoring the site-b inflow
         # rows; the open state holds its sites a..L_max and the sample
         rng = np.random.default_rng(6)
@@ -56,8 +57,8 @@ class TestCovarianceBasics:
         v = env.eigenvectors @ np.array([np.sqrt(0.4), np.sqrt(0.6)])
         coup = CouplingSpec(0.9, v, psi)
         win = Window(-3, 6, 2)
-        state = CovarianceState(win, env, W, coup, boundary=boundary)
-        T = one_step_joint_operator(win, env, W, coup, boundary=boundary)
+        state = CovarianceState(win, env, W, coup, periodic=boundary == "periodic")
+        T = one_step_joint_operator(win, env, W, coup)
         sigma0 = scipy.linalg.block_diag(build_truncated_symbol(env, (win.a, win.b)),
                                          np.zeros((4, 4)))
         inflow = slice(win.env_dim - 2, win.env_dim)
@@ -104,9 +105,9 @@ class TestCovarianceBasics:
         W, psi = rotation_walk((0.5, 1.1))
         coup = CouplingSpec(0.9, np.array([1.0]), psi)
         xi = np.diag([1.1, 0.5, 0.0, 0.2])
-        for boundary in ("open", "periodic"):
+        for periodic in (False, True):
             with pytest.raises(CouplingError, match="escapes"):
-                CovarianceState(Window(-2, 2, 1), env_m1(), W, coup, boundary=boundary,
+                CovarianceState(Window(-2, 2, 1), env_m1(), W, coup, periodic=periodic,
                                 sample_symbol=xi)
 
     def test_positivity_preserved(self):
@@ -125,8 +126,9 @@ class TestCovarianceBasics:
     @pytest.mark.parametrize("a", [0, -3])
     @pytest.mark.parametrize("extra", [0, 5])
     def test_open_window_is_exact(self, m, L, a, extra):
-        # sites 0..L plus the sample match, at every step, the zero-fill
-        # conjugation on a window longer than the run
+        # sites 0..L plus the sample match, at every step, the ring step's
+        # conjugation on a window longer than the run, whose wrap cannot
+        # reach them
         coeffs = (0.5,) + (0.05,) * L
         if m == 1:
             env, v = env_m1(coeffs), np.array([1.0])
@@ -143,7 +145,7 @@ class TestCovarianceBasics:
         steps = 60
         state = CovarianceState(Window(a, L + extra, m), env, W, coup, sample_symbol=xi)
         long = Window(-1, L + steps + 1, m)
-        T = one_step_joint_operator(long, env, W, coup, "open")
+        T = one_step_joint_operator(long, env, W, coup)
         ref = scipy.linalg.block_diag(build_truncated_symbol(env, (long.a, long.b)), xi)
 
         def block(sigma, win):
@@ -162,13 +164,7 @@ class TestCovarianceBasics:
         for window in (Window(1, 6, 1), Window(-3, 1, 1)):
             with pytest.raises(CouplingError, match="0..L_max"):
                 CovarianceState(window, env, W, coup)
-        CovarianceState(Window(-3, 1, 1), env, W, coup, boundary="periodic")
-
-    def test_unknown_boundary_rejected(self):
-        W, psi = rotation_walk()
-        coup = CouplingSpec(0.9, np.array([1.0]), psi)
-        with pytest.raises(CouplingError, match="boundary"):
-            CovarianceState(Window(0, 2, 1), env_m1(), W, coup, boundary="Periodic")
+        CovarianceState(Window(-3, 1, 1), env, W, coup, periodic=True)
 
 
 class TestConvergenceToDelta:
@@ -476,7 +472,7 @@ def oracle_instances(draw):
 def test_oracle_two_point_matrix_is_periodic_covariance(instance):
     env, W, coup, win = instance
     oracle = FockOracle(env, W, coup, win)
-    cov = CovarianceState(win, env, W, coup, boundary="periodic")
+    cov = CovarianceState(win, env, W, coup, periodic=True)
     eps = np.finfo(float).eps
     for t in range(11):
         # round-off grows at most linearly in the steps and the mode count
@@ -506,14 +502,21 @@ def open_window_instances(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(open_window_instances(), st.integers(1, 12))
 def test_open_step_matches_full_window_conjugation(instance, steps):
-    # the state on sites a..L_max and the sample against dense T Sigma T* on
-    # the whole window with the site-b inflow restored; in the reference the
-    # sites from L_max on keep their Sigma_0 rows and columns, which is why
-    # the state holds no site past L_max and restores the rows of site L_max
+    # the state on sites a..L_max and the sample against dense T Sigma T*
+    # with the ring step on the whole window and the site-b inflow restored;
+    # in the reference the sites from L_max on keep their Sigma_0 rows and
+    # columns, which is why the state holds no site past L_max and restores
+    # the rows of site L_max
     env, W, coup, xi, win = instance
     L = env.max_degree
     state = CovarianceState(win, env, W, coup, sample_symbol=xi)
-    T = one_step_joint_operator(win, env, W, coup, "open")
+    # its A, the ring step with the inflow rows zeroed, is bit for bit the
+    # zero-fill step, whose shift has no wrap and so zero inflow rows
+    cut = state.window
+    zero_fill = (scipy.linalg.block_diag(np.kron(np.eye(cut.n_sites, k=1), env.U), W)
+                 @ coupling_exponential(cut, coup, W.shape[0]))
+    assert np.array_equal(state._A, zero_fill)
+    T = one_step_joint_operator(win, env, W, coup)
     sigma0 = scipy.linalg.block_diag(build_truncated_symbol(env, (win.a, win.b)), xi)
     inflow = slice(win.env_dim - env.m, win.env_dim)
     ref = sigma0.copy()
@@ -631,7 +634,7 @@ class TestFockOracle:
         coup = CouplingSpec(0.8, np.array([1.0]), psi)
         win = Window(-2, 1, 1)
         oracle = FockOracle(env, W, coup, win)
-        cov = CovarianceState(win, env, W, coup, boundary="periodic")
+        cov = CovarianceState(win, env, W, coup, periodic=True)
         assert np.abs(oracle.two_point_matrix() - cov.sigma).max() <= 1e-12
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -647,7 +650,7 @@ class TestFockOracle:
         W, psi = rotation_walk((0.5, 1.1))
         coup = CouplingSpec(np.pi / 4, v, psi)
         oracle = FockOracle(env, W, coup, win)
-        cov = CovarianceState(win, env, W, coup, boundary="periodic")
+        cov = CovarianceState(win, env, W, coup, periodic=True)
         worst = 0.0
         for _ in range(20):
             oracle.step()
@@ -663,7 +666,7 @@ class TestFockOracle:
         coup = CouplingSpec(np.pi / 4, v, psi)
         win = Window(a, b, m)
         oracle = FockOracle(env, W, coup, win)
-        cov = CovarianceState(win, env, W, coup, boundary="periodic")
+        cov = CovarianceState(win, env, W, coup, periodic=True)
         worst = np.abs(oracle.two_point_matrix() - cov.sigma).max()
         for _ in range(20):
             oracle.step()
@@ -686,7 +689,7 @@ class TestFockOracle:
         win = Window(a, b, m)
         dim = 2 ** (win.env_dim + W.shape[0])
         oracle = FockOracle(env, W, coup, win, ensemble=random_ensemble(dim, 3, seed=11))
-        T = one_step_joint_operator(win, env, W, coup, "periodic")
+        T = one_step_joint_operator(win, env, W, coup)
         expected = gamma_dense(oracle.Q.conj().T @ T @ oracle.Q) @ oracle.states
         oracle.step()
         assert np.abs(oracle.states - expected).max() <= 1e-13
@@ -712,7 +715,7 @@ class TestFockOracle:
         kept = states.copy()
         oracle = FockOracle(env, W, CouplingSpec(0.9, v, psi), win, ensemble=(weights, states))
         Q = oracle.Q
-        S_circ_U = np.kron(shift_matrix(win.n_sites, periodic=True), env.U)
+        S_circ_U = np.kron(shift_matrix(win.n_sites), env.U)
         G_E = gamma_dense(Q[:E, :E].conj().T @ S_circ_U @ Q[:E, :E])
         G_S = gamma_dense(Q[E:, E:].conj().T @ W @ Q[E:, E:])
         expected = states
@@ -734,7 +737,7 @@ class TestFockOracle:
         coup = CouplingSpec(0.9, V2, cycle_star_vector(n))
         win = Window(-1, 1, 2)
         oracle = FockOracle(env_m2(), W, coup, win)
-        cov = CovarianceState(win, env_m2(), W, coup, boundary="periodic")
+        cov = CovarianceState(win, env_m2(), W, coup, periodic=True)
         tol = 4 * oracle.D * np.finfo(float).eps
         for _ in range(30):
             oracle.step()
@@ -796,7 +799,7 @@ class TestFockOracle:
         coup = CouplingSpec(np.pi / 4, np.array([1.0]), psi)
         win = Window(-2, 1, 1)
         oracle = FockOracle(env, W, coup, win)
-        cov = CovarianceState(win, env, W, coup, boundary="periodic")
+        cov = CovarianceState(win, env, W, coup, periodic=True)
         oracle.step(9)
         cov.step(9)
         first, second = oracle.sample_occupation_moments()
