@@ -339,6 +339,17 @@ class TestCommands:
         path = write_config(tmp_path, cfg)
         assert main(["asymptotic", "--config", path, "--out", str(tmp_path)]) == 3
 
+    def test_determinism_excluding_timestamp(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["asymptotic", "--config", path, "--out", str(out1)]) == 0
+        assert main(["asymptotic", "--config", path, "--out", str(out2)]) == 0
+        a = json.loads((out1 / "asymptotic.json").read_text())
+        b = json.loads((out2 / "asymptotic.json").read_text())
+        a["provenance"].pop("timestamp")
+        b["provenance"].pop("timestamp")
+        assert canonical_json(a) == canonical_json(b)
+
     def test_flux_sweep_csv(self, tmp_path):
         cfg = {
             "walk": BASE_CONFIG["walk"],

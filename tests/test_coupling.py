@@ -420,9 +420,15 @@ class TestJointOperator:
                 rng.standard_normal(8) + 1j * rng.standard_normal(8))
             assert np.linalg.norm(T @ phi) == pytest.approx(np.linalg.norm(phi), abs=1e-12)
 
-    def test_window_needs_site_zero(self):
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_window_needs_site_zero(self, boundary):
+        from fermiwalk.simulate import CovarianceState
         with pytest.raises(CouplingError, match="outside"):
             one_step_joint_operator(Window(1, 4, 1), self.env, self.W, self.coup)
+        # the covariance state of either boundary, which steps by this operator, refuses it too
+        with pytest.raises(CouplingError):
+            CovarianceState(Window(1, 4, 1), self.env, self.W, self.coup,
+                            periodic=boundary == "periodic")
 
     def test_coupling_exponential_unitary(self):
         K = coupling_exponential(self.window, self.coup, 8)
