@@ -176,22 +176,20 @@ def _cmd_simulate(cfg, outdir, seed, threads):
         steps = cfg.options["steps"]
     else:
         steps = cov.relaxation_horizon(1e-9)
-    blocks = np.empty((steps, W.shape[0], W.shape[0]), dtype=complex)
-    for block in blocks:
-        cov.step(1)
-        block[...] = cov.sample_block()
-    # the Frobenius norm of each block as np.linalg.norm takes it, bit for bit
-    diff = (blocks - state.delta).reshape(steps, -1)
-    errors = np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag)).tolist()
-    traces = np.trace(blocks, axis1=1, axis2=2).real.tolist()
-    ts = range(1, steps + 1)
+    # t = 1, 2, 4, ..., 2^floor(log2 steps) and steps: each doubling level is built once
+    ts = sorted({1 << k for k in range(steps.bit_length())} | {steps})
+    traces, errors = [], []
+    for t in ts:
+        block = cov.step(t - cov.t).sample_block()
+        traces.append(float(np.trace(block).real))
+        errors.append(float(np.linalg.norm(block - state.delta)))
     _write_csv(os.path.join(outdir, "simulate_trace.csv"),
                ["t", "sample_trace", "error_to_delta"], zip(ts, traces, errors))
     return {
         "steps": steps,
         "window": [window.a, window.b],
         "final_error_to_delta": errors[-1],
-        "final_sample_block": encode_complex_matrix(blocks[-1]),
+        "final_sample_block": encode_complex_matrix(block),
         "convergence": [[t, err] for t, err in zip(ts, errors)],
     }
 

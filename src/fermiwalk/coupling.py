@@ -65,7 +65,10 @@ __all__ = [
 # spr(M) below this is contractive: the one gate of the asymptotic formulas,
 # the decay certificate, the disorder skip rule and the cyclicity test
 SPR_MAX = 1.0 - 1e-12
-# largest step count a certified horizon may ask for
+# largest step count a certified horizon may ask for.  The doubled covariance
+# step makes any horizon cheap, so the cap guards accuracy, not run time:
+# iterating the open step leaves an error floor of about eps / (1 - spr),
+# which a tolerance certified past the cap may not reach
 MAX_HORIZON = 200_000
 # Aberth-Ehrlich sweeps allowed before the secular roots count as not found
 # (3-5 on disorder draws, up to about 20 on Haar walks with weights near

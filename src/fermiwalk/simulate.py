@@ -7,7 +7,7 @@ Three independent routes to the same expectations:
   the finite model that the oracle is compared against, or on the exact
   infinite reservoir: there every site from ``L_max`` on keeps its rows of
   ``Sigma_0``, so the state holds only sites ``a..L_max`` and the sample, and
-  a step is one dense product at ``O(((L_max - a + 1) m + d)^3)``;
+  ``t`` steps cost O(log t) dense products at ``O(((L_max - a + 1) m + d)^3)``;
 * :func:`finite_time_pair_expectation` evaluates the explicit finite-time
   sums for pair expectations, with the reservoir brackets reduced to symbol
   coefficients;
@@ -66,10 +66,17 @@ class CovarianceState:
     ``N_act = (L_max - a + 1) m + d`` square.  On the other rows ``T_inf``
     is ``T``, so the step is exactly ``Sigma -> A Sigma A* + J``, with ``A``
     the ring step with the inflow rows of site ``L_max`` zeroed and ``J``
-    their rows and columns of ``Sigma_0``, which :meth:`step` restores.  Its
+    their rows and columns of ``Sigma_0`` (zero when periodic).  Its
     fixed point ``X`` has sample block ``Delta``, and ``Sigma_t - X = A^t
     (Sigma_0 - X) A^t*`` with ``0 <= Sigma_0, X <= 1``, so
     ``||Sigma_S(t) - Delta|| <= ||A^t||^2``.
+
+    Write ``(P, Q)`` for the map ``S -> P S P* + Q``.  Such maps compose as
+    ``(P, Q)∘(P, Q) = (P^2, P Q P* + Q)``, so ``(P_k, Q_k)``, the map of
+    ``2^k`` steps, follows from level ``k - 1`` (the squared Smith
+    iteration), and :meth:`step` applies the levels at the set bits of its
+    count: ``t`` steps cost O(log t) products of size ``N_act``.  The table
+    grows only when a count needs a new level.
     """
 
     window: Window
@@ -101,24 +108,39 @@ class CovarianceState:
         self.sigma = np.zeros((ne + d, ne + d), dtype=complex)
         self.sigma[:ne, :ne] = build_truncated_symbol(self.env, (window.a, window.b))
         self.sigma[ne:, ne:] = xi
-        if not self.periodic:     # the rows of site L_max, restored after each step
-            self._inflow = slice(ne - window.m, ne)
-            self._A[self._inflow] = 0.0
-            self._inflow_rows = self.sigma[self._inflow].copy()
+        J = None
+        if not self.periodic:     # the rows and columns of site L_max in Sigma_0
+            inflow = slice(ne - window.m, ne)
+            self._A[inflow] = 0.0
+            J = np.zeros_like(self.sigma)
+            J[inflow] = self.sigma[inflow]
+            J[:, inflow] = self.sigma[inflow].conj().T
+        self._maps = [(self._A, J)]
 
     @property
     def d(self) -> int:
         return self.W.shape[0]
 
     def step(self, steps: int = 1) -> "CovarianceState":
-        """Advance ``steps`` steps of ``A sigma A*``, each followed by the open inflow restore."""
-        A, A_adj = self._A, self._A.conj().T
-        for _ in range(steps):
-            self.sigma = A @ self.sigma @ A_adj
-            if not self.periodic:
-                self.sigma[self._inflow] = self._inflow_rows
-                self.sigma[:, self._inflow] = self._inflow_rows.conj().T
-            self.t += 1
+        """Advance ``steps`` steps: the map of ``2^k`` steps at each set bit ``k`` of ``steps``.
+
+        ``A`` has zero inflow rows, so one step is ``A sigma A*`` with the
+        inflow rows and columns of ``Sigma_0`` restored, exactly.
+        """
+        if steps < 0:
+            raise CouplingError(f"cannot step a covariance state {steps} steps back")
+        k = 0
+        while steps >> k:
+            if k == len(self._maps):
+                P, Q = self._maps[-1]
+                self._maps.append((P @ P, None if Q is None else P @ Q @ P.conj().T + Q))
+            if steps >> k & 1:
+                P, Q = self._maps[k]
+                self.sigma = P @ self.sigma @ P.conj().T
+                if Q is not None:
+                    self.sigma += Q
+            k += 1
+        self.t += steps
         return self
 
     def sample_block(self) -> np.ndarray:

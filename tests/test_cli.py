@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,18 +383,22 @@ class TestCommands:
         with open(tmp_path / "simulate_trace.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "sample_trace", "error_to_delta"]
-        assert len(rows) == 41
-        # reference: the trace and the norm of each step's sample block, taken
-        # one step at a time, equal the file's entries bit for bit
+        assert [int(row[0]) for row in rows[1:]] == [1, 2, 4, 8, 16, 32, 40]
+        # reference: the trace and the norm of the sample block, taken one
+        # step at a time, match the doubled file entries at the same t
         cfg = load_config(path)
         W, _ = cfg.built_walk
         env, coup = cfg.environment, cfg.coupling()
         delta = asymptotic_symbol(env, W, coup).delta
         cov = CovarianceState(Window(0, env.max_degree, env.m), env, W, coup)
-        for t, row in enumerate(rows[1:], 1):
+        reference = {}
+        for t in range(1, 41):
             block = cov.step(1).sample_block()
-            assert [int(row[0]), float(row[1]), float(row[2])] == [
-                t, float(np.trace(block).real), float(np.linalg.norm(block - delta))]
+            reference[t] = (np.trace(block).real, np.linalg.norm(block - delta))
+        for row in rows[1:]:
+            trace, error = reference[int(row[0])]
+            assert abs(float(row[1]) - trace) <= 1e-14
+            assert abs(float(row[2]) - error) <= 1e-14
         with open(tmp_path / "convergence.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "log_error"]
@@ -403,6 +408,25 @@ class TestCommands:
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
         res = read_result(tmp_path, "simulate.json")["results"]
         assert res["final_error_to_delta"] <= 1e-9
+
+    def test_simulate_long_horizon_in_little_memory(self, tmp_path):
+        # certified horizon 52,075 steps: rows at t = 1, 2, ..., 2^15 and the
+        # horizon, in memory that does not grow with the step count
+        cfg = {"walk": {"kind": "cycle", "n": 4, "coins": {"kind": "random", "seed": 9}},
+               "environment": BASE_CONFIG["environment"], "coupling": {"alpha": 0.7}}
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", path, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        res = read_result(tmp_path, "simulate.json")["results"]
+        assert res["steps"] == 52_075
+        assert res["final_error_to_delta"] <= 1e-9
+        assert len(res["convergence"]) == 17
+        assert peak < 5 * 2 ** 20
 
     def test_simulate_refuses_horizon_beyond_cap(self, tmp_path, capsys):
         # alpha = 1e-5 leaves 1 - spr(M) ~ 5e-12: no silent truncated run
@@ -679,7 +703,7 @@ class TestRerunReplacesFiles:
         path = write_config(tmp_path, dict(BASE_CONFIG, options={"steps": 5}))
         trace = tmp_path / "simulate_trace.csv"
         assert_replaced(trace, lambda: main(["simulate", "--config", path, "--out", out]))
-        assert len(trace.read_text().splitlines()) == 6
+        assert len(trace.read_text().splitlines()) == 5
         assert read_result(tmp_path, "simulate.json")["results"]["steps"] == 5
 
     def test_emit_onto_existing_csv(self, tmp_path):
