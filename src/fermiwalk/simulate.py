@@ -32,7 +32,7 @@ from .coupling import (CouplingError, CouplingSpec, Window, _free_step, build_co
                        check_symbol_spectrum, coupling_plane, decay_certificate,
                        exchange_rotation, horizon, one_step_joint_operator, orbit)
 from .environment import EnvironmentSpec, build_truncated_symbol
-from .walk import householder_vector
+from .walk import check_unit_vector, householder_vector
 
 __all__ = [
     "CovarianceState",
@@ -368,14 +368,60 @@ def gamma_dense(V: np.ndarray) -> np.ndarray:
     return gamma_columns(V, np.arange(2 ** np.shape(V)[0]))
 
 
-def _apply_blocks(blocks: list, src: np.ndarray, dst: np.ndarray):
-    """``dst = Gamma @ src`` along axis 0, one matrix product per particle-number block.
+@functools.cache
+def _sector_tables(E: int, d: int, N: int) -> tuple:
+    """Row layout of the ``N``-particle sector of ``E`` reservoir and ``d`` sample modes.
 
-    The blocks partition the rows, so every row of ``dst`` is written.
+    Rows run by reservoir count ``p``, then reservoir configuration, then
+    sample configuration (each ascending), so the piece of ``p`` and
+    ``q = N - p`` particles is a contiguous ``(C(E, p), C(d, q))`` grid.
+    Returns ``(configs, pieces, pairs)``: the occupation index of every row
+    (mode 0 the top bit), the ``(p, q, start, stop)`` of each piece, and the
+    rows ``(i10, i01, i11)`` whose modes ``E-1, E`` hold ``10``, its partner
+    ``01`` (the same other modes) and ``11``.
     """
-    for configs, block in blocks:
-        rows = src[configs]
-        dst[configs] = (block @ rows.reshape(len(configs), -1)).reshape(rows.shape)
+    env_counts, sample_counts = _ranks(E)[0], _ranks(d)[0]
+    parts, pieces, start = [], [], 0
+    for p in range(max(0, N - d), min(E, N) + 1):
+        env = np.flatnonzero(env_counts == p)
+        sample = np.flatnonzero(sample_counts == N - p)
+        parts.append(((env[:, None] << d) | sample).ravel())
+        pieces.append((p, N - p, start, start + len(env) * len(sample)))
+        start = pieces[-1][-1]
+    configs = np.concatenate(parts)
+    last_env, first_sample = 1 << d, 1 << (d - 1)
+    i10 = np.flatnonzero((configs & last_env > 0) & (configs & first_sample == 0))
+    i11 = np.flatnonzero((configs & last_env > 0) & (configs & first_sample > 0))
+    i01 = _row_of(configs, configs[i10] ^ (last_env | first_sample))
+    _frozen(configs, i10, i01, i11)
+    return configs, tuple(pieces), (i10, i01, i11)
+
+
+def _row_of(configs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Positions in ``configs`` of the occupation indices ``targets`` (all present)."""
+    order = np.argsort(configs)
+    return order[np.searchsorted(configs, targets, sorter=order)]
+
+
+@functools.cache
+def _annihilation_tables(E: int, d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``c_nu`` maps the ``N``-particle sector onto the ``(N - 1)``-particle one.
+
+    Returns ``(rows, sign)``, both ``(D, C(D, N - 1))``: for mode ``nu`` and
+    the ``(N - 1)``-particle row ``y`` (in the order of
+    :func:`_sector_tables`), the ``N``-particle row of ``x = y + nu`` and the
+    Jordan-Wigner sign ``(-1)^(occupied modes before nu)`` of
+    ``c_nu|x> = sign |y>``; where ``nu`` is occupied in ``y``, row 0 and sign 0.
+    """
+    D = E + d
+    below, configs = _sector_tables(E, d, N - 1)[0], _sector_tables(E, d, N)[0]
+    bit = 1 << np.arange(D - 1, -1, -1)
+    rows = np.zeros((D, len(below)), dtype=np.intp)
+    sign = np.zeros((D, len(below)))
+    y, nu = np.nonzero((below[:, None] & bit) == 0)
+    rows[nu, y] = _row_of(configs, below[y] | bit[nu])
+    sign[nu, y] = 1.0 - 2.0 * (np.bitwise_count(below[y] & -2 * bit[nu]) & 1)
+    return _frozen(rows, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +440,17 @@ class FockOracle:
     then acts on the two adjacent modes ``E-1, E`` and carries no
     Jordan-Wigner string.
 
-    States are ``(2^D, K)`` arrays of occupation amplitudes, mode 0 the top
-    bit of the row index; every many-body operation is a reshape, a slice or
-    a matrix product on them.  The initial state is the Gaussian density
-    matrix of ``Sigma_w (+) Xi``, represented as a weighted ensemble of
-    eigenmode Slater states (one per bitstring over the fractionally occupied
-    modes).
+    The initial state is the Gaussian density matrix of ``Sigma_w (+) Xi``,
+    represented as a weighted ensemble of ``K`` eigenmode Slater states (one
+    per bitstring over the fractionally occupied modes), or a user ensemble
+    of ``K`` pure states.  Every factor of the step conserves the particle
+    number, so the amplitudes are held one sector at a time: for each
+    particle number ``N`` that holds members, a ``(C(D, N), K_N)`` block over
+    the ``K_N`` members with support in ``N``, its rows laid out by
+    :func:`_sector_tables`.  A Gaussian member has one particle number and
+    starts in one ``(p, q)`` piece.  Each member's support is found once,
+    where the state enters, and exact zeros stay zero.  :attr:`states`
+    assembles the ``(2^D, K)`` amplitudes, mode 0 the top bit of the row.
     """
 
     MAX_MODES = 14
@@ -434,36 +485,46 @@ class FockOracle:
         # the coupling on the oracle modes E-1, E, i.e. delta_0 (x) v and psi*
         self.k4 = gamma_dense(exchange_rotation(coupling.alpha))
 
-        if ensemble is not None:
-            # user-supplied mixture of pure many-body states (amplitudes over
-            # the oracle's occupation basis), e.g. for evenness tests with
-            # non-Gaussian states
-            weights, columns = ensemble
-            self.weights = np.asarray(weights, dtype=float)
-            if abs(self.weights.sum() - 1.0) > 1e-12 or (self.weights < 0).any():
-                raise CouplingError("ensemble weights must be a probability vector")
-            self.states = np.asarray(columns, dtype=complex)
-            if self.states.shape != (2 ** D, len(self.weights)):
-                raise CouplingError(
-                    f"ensemble states must be ({2 ** D}, {len(self.weights)})")
-        else:
-            self.weights, env_columns, sample_columns = self._gaussian_ensemble(sample_symbol)
-        # the two arrays every step writes in turn (never the caller's
-        # ensemble), and the Jordan-Wigner signs (-1)^popcount(j), j < 2^(D-1)
-        K = len(self.weights)
-        self._buffers = tuple(np.empty((2 ** D, K), dtype=complex) for _ in range(2))
+        # (N, members, block) for every particle number that holds a member
         if ensemble is None:
-            # member j is Gamma(vec_e)|e_j> (x) Gamma(vec_s)|s_j>, built in place
-            self.states = self._buffers[0]
-            np.multiply(env_columns[:, None, :], sample_columns[None, :, :],
-                        out=self.states.reshape(2 ** E, 2 ** d, K))
-        self._string_sign = np.where(np.bitwise_count(np.arange(2 ** (D - 1))) & 1, -1, 1)
+            self.weights, self._sectors = self._gaussian_ensemble(sample_symbol)
+        else:
+            self.weights, self._sectors = self._user_ensemble(*ensemble)
 
-    def _gaussian_ensemble(self, sample_symbol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights of the members ``Gamma(eigenmodes)|config>``, and their two factors.
+    def _user_ensemble(self, weights, columns) -> tuple[np.ndarray, list]:
+        """A mixture of pure many-body states (amplitudes over the oracle's occupations).
 
-        Member ``j`` is ``Gamma(vec_e)|e_j> (x) Gamma(vec_s)|s_j>``; the two
-        returned arrays hold those columns, ``(2^E, K)`` and ``(2^d, K)``.
+        E.g. for evenness tests with non-Gaussian states.  Each member joins
+        the sectors in which it has a nonzero amplitude; the caller's array
+        is copied, never written.
+        """
+        weights = np.asarray(weights, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
+        if bad.size:
+            raise CouplingError(f"ensemble weight of member {bad[0]} is {weights[bad[0]]}; "
+                                "weights must be finite and non-negative")
+        if not abs(weights.sum() - 1.0) <= 1e-12:
+            raise CouplingError(f"ensemble weights sum to {weights.sum():.15g}, not 1")
+        columns = np.asarray(columns, dtype=complex)
+        if columns.shape != (2 ** self.D, len(weights)):
+            raise CouplingError(f"ensemble states must be ({2 ** self.D}, {len(weights)})")
+        for j, column in enumerate(columns.T):
+            check_unit_vector(column, f"ensemble member {j}", CouplingError)
+        sectors = []
+        for N in range(self.D + 1):
+            block = columns[_sector_tables(self.E, self.d, N)[0]]
+            members = np.flatnonzero(block.any(axis=0))
+            if members.size:
+                sectors.append((N, members, np.ascontiguousarray(block[:, members])))
+        return weights, sectors
+
+    def _gaussian_ensemble(self, sample_symbol) -> tuple[np.ndarray, list]:
+        """Weights of the members ``Gamma(eigenmodes)|config>``, and their sectors.
+
+        Member ``j`` is ``Gamma(vec_e)|e_j> (x) Gamma(vec_s)|s_j>``, which lies
+        in the one piece ``(p_j, q_j)`` of the particle numbers of ``e_j`` and
+        ``s_j``: the outer product of column ``e_j`` of ``Gamma_p(vec_e)`` and
+        column ``s_j`` of ``Gamma_q(vec_s)``.
         """
         env, window, Q, E, d, D = self.env, self.window, self.Q, self.E, self.d, self.D
         xi = np.zeros((d, d)) if sample_symbol is None else sample_symbol
@@ -485,26 +546,65 @@ class FockOracle:
         weights = np.prod(np.where(chosen, lam[frac], 1.0 - lam[frac]), axis=1)
         bit = 2 ** (D - 1 - np.arange(D))
         configs = bit[filled].sum() + chosen @ bit[frac]
-        return (weights, gamma_columns(vec_e, configs >> d),
-                gamma_columns(vec_s, configs & (2 ** d - 1)))
+        env_configs, sample_configs = configs >> d, configs & (2 ** d - 1)
+        (env_counts, env_rank), (sample_counts, sample_rank) = _ranks(E), _ranks(d)
+        G_e, G_s = gamma_blocks(vec_e), gamma_blocks(vec_s)
+        p_of, q_of = env_counts[env_configs], sample_counts[sample_configs]
+        sectors = []
+        for N in np.unique(p_of + q_of):
+            members = np.flatnonzero(p_of + q_of == N)
+            _, pieces, _ = _sector_tables(E, d, N)
+            block = np.zeros((pieces[-1][-1], len(members)), dtype=complex)
+            for p, q, start, stop in pieces:
+                here = np.flatnonzero(p_of[members] == p)
+                j = members[here]
+                block[start:stop, here] = (
+                    G_e[p][1][:, env_rank[env_configs[j]]][:, None, :]
+                    * G_s[q][1][:, sample_rank[sample_configs[j]]][None, :, :]
+                ).reshape(stop - start, len(j))
+            sectors.append((int(N), members, block))
+        return weights, sectors
+
+    @property
+    def states(self) -> np.ndarray:
+        """The ``(2^D, K)`` amplitudes, assembled from the sectors; read-only."""
+        out = np.zeros((2 ** self.D, len(self.weights)), dtype=complex)
+        for N, members, block in self._sectors:
+            out[np.ix_(_sector_tables(self.E, self.d, N)[0], members)] = block
+        out.setflags(write=False)
+        return out
 
     # -- evolution -----------------------------------------------------------
 
     def step(self, steps: int = 1) -> "FockOracle":
         """Advance ``steps`` steps: the coupling on modes ``E-1, E``, then ``G_S``, then ``G_E``.
 
-        The factors alternate between two owned buffers, so the next step
-        overwrites the array ``states`` holds now (copy it to keep it).
+        In each sector the coupling ``k4`` mixes the paired rows ``10`` and
+        ``01`` of modes ``E-1, E`` and puts its phase on the rows ``11``; the
+        other rows it leaves alone.  Then each ``(p, q)`` piece, a
+        contiguous ``(C(E, p), C(d, q), K_N)`` array, takes ``Gamma_q(V_S)`` and
+        ``Gamma_p(V_E)`` as two matrix products.  Each step writes new blocks,
+        so an array :attr:`states` returned earlier is never changed.
         """
-        E, d = self.E, self.d
+        if steps < 0:
+            raise CouplingError(f"cannot step a Fock oracle {steps} steps back")
+        k4 = self.k4
         for _ in range(steps):
-            out, mid = self._buffers[::-1] if self.states is self._buffers[0] else self._buffers
-            np.matmul(self.k4, self.states.reshape(2 ** (E - 1), 4, -1),
-                      out=out.reshape(2 ** (E - 1), 4, -1))
-            _apply_blocks(self.G_S, out.reshape(2 ** E, 2 ** d, -1).transpose(1, 0, 2),
-                          mid.reshape(2 ** E, 2 ** d, -1).transpose(1, 0, 2))
-            _apply_blocks(self.G_E, mid.reshape(2 ** E, -1), out.reshape(2 ** E, -1))
-            self.states = out
+            sectors = []
+            for N, members, block in self._sectors:
+                _, pieces, (i10, i01, i11) = _sector_tables(self.E, self.d, N)
+                x10, x01 = block[i10], block[i01]
+                block[i10] = k4[2, 2] * x10 + k4[2, 1] * x01
+                block[i01] = k4[1, 2] * x10 + k4[1, 1] * x01
+                block[i11] *= k4[3, 3]
+                out = np.empty(block.shape, dtype=complex)
+                for p, q, start, stop in pieces:
+                    n_e = len(self.G_E[p][0])
+                    piece = block[start:stop].reshape(n_e, -1, len(members))
+                    np.matmul(self.G_E[p][1], (self.G_S[q][1] @ piece).reshape(n_e, -1),
+                              out=out[start:stop].reshape(n_e, -1))
+                sectors.append((N, members, out))
+            self._sectors = sectors
             self.t += 1
         return self
 
@@ -513,41 +613,37 @@ class FockOracle:
     def two_point_matrix(self) -> np.ndarray:
         """Joint covariance ``Sigma[g, f] = <c*(e_f) c(e_g)>`` in canonical coordinates.
 
-        ``<c*_mu c_nu>`` (``mu < nu``) pairs the amplitudes of occupations
-        with ``mu`` empty and ``nu`` filled against those with the two swapped,
-        signed by ``(-1)^(occupied modes strictly between mu and nu)``.  Each
-        pair is one batched conjugating dot product (``np.vecdot``) over the
-        modes after ``nu`` and the ensemble, on strided views that copy
-        nothing; the diagonal is the occupation density.
+        In oracle modes ``<c*_mu c_nu> = sum_k w_k <c_mu psi_k, c_nu psi_k>``.
+        In each sector one gather from :func:`_annihilation_tables` stacks
+        the images ``c_nu psi_k`` of every mode as the rows of a
+        ``(D, C(D, N - 1) K_N)`` matrix ``A``, and the sector adds ``A A*``,
+        diagonal included.
         """
         D = self.D
-        amp = self.states * np.sqrt(self.weights)
-        density = np.vecdot(amp, amp).real
-        sigma_o = np.empty((D, D), dtype=complex)
-        for mu in range(D):
-            sigma_o[mu, mu] = density.reshape(2 ** mu, 2, -1)[:, 1].sum()
-            for nu in range(mu + 1, D):
-                a = amp.reshape(2 ** mu, 2, 2 ** (nu - mu - 1), 2, -1)
-                dots = np.vecdot(a[:, 1, :, 0], a[:, 0, :, 1])
-                val = (dots @ self._string_sign[:2 ** (nu - mu - 1)]).sum()
-                sigma_o[nu, mu] = val
-                sigma_o[mu, nu] = np.conj(val)
+        sigma_o = np.zeros((D, D), dtype=complex)
+        for N, members, block in self._sectors:
+            if N:
+                rows, sign = _annihilation_tables(self.E, self.d, N)
+                amp = block * np.sqrt(self.weights[members])
+                A = (amp[rows] * sign[:, :, None]).reshape(D, -1)
+                sigma_o += A @ A.conj().T
         return self.Q @ sigma_o @ self.Q.conj().T
 
+    def _row_probabilities(self, members: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """Ensemble-weighted probability of each row of one sector."""
+        return (np.abs(block) ** 2) @ self.weights[members]
+
     def total_number(self) -> float:
-        counts = np.bitwise_count(np.arange(2 ** self.D))
-        dens = np.abs(self.states) ** 2
-        return float(self.weights @ (counts @ dens))
+        return float(sum(N * self._row_probabilities(members, block).sum()
+                         for N, members, block in self._sectors))
 
     def sample_number_distribution(self) -> np.ndarray:
         """Exact law of the sample particle number, indexed 0..d."""
-        probs = np.abs(self.states.reshape(2 ** self.E, 2 ** self.d, -1)) ** 2
-        per_sample_config = probs.sum(axis=0)                 # (2^d, K)
-        counts = np.bitwise_count(np.arange(2 ** self.d))
         pmf = np.zeros(self.d + 1)
-        for p in range(self.d + 1):
-            mask = counts == p
-            pmf[p] = float(self.weights @ per_sample_config[mask, :].sum(axis=0))
+        for N, members, block in self._sectors:
+            probs = self._row_probabilities(members, block)
+            for p, q, start, stop in _sector_tables(self.E, self.d, N)[1]:
+                pmf[q] += probs[start:stop].sum()
         return pmf
 
     def sample_occupation_moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -587,10 +683,11 @@ class FockOracle:
         """
         f_o = self.Q.conj().T @ np.asarray(f, dtype=complex)
         amp = self.states * np.sqrt(self.weights)
+        string_sign = np.where(np.bitwise_count(np.arange(2 ** (self.D - 1))) & 1, -1, 1)
         total = 0.0 + 0.0j
         for mu in range(self.D):
             a = amp.reshape(2 ** mu, 2, -1)
-            total += f_o[mu] * (np.vecdot(a[:, 1], a[:, 0]) @ self._string_sign[:2 ** mu])
+            total += f_o[mu] * (np.vecdot(a[:, 1], a[:, 0]) @ string_sign[:2 ** mu])
         return complex(total)
 
 
