@@ -11,13 +11,15 @@ Three independent routes to the same expectations:
 * :func:`finite_time_pair_expectation` evaluates the explicit finite-time
   sums for pair expectations, with the reservoir brackets reduced to symbol
   coefficients;
-* :class:`FockOracle` evolves the exact many-body state on the full
-  ``2^modes`` occupation space of a small periodic window (same-species
-  representation, occupation-amplitude arrays), for non-quadratic
-  observables such as the full particle-number distribution.  Each
-  one-particle factor enters as its second quantisation ``Gamma(V)``, built
-  one particle number at a time by first-row Laplace recursion
-  (:func:`gamma_blocks`), with no determinant.
+* :class:`FockOracle` evolves the exact many-body state of a small periodic
+  window (same-species representation, occupation amplitudes), for
+  non-quadratic observables such as the full particle-number distribution.
+  Each one-particle factor enters as its second quantisation ``Gamma(V)``,
+  built one particle number at a time by first-row Laplace recursion
+  (:func:`gamma_blocks`), with no determinant.  Every factor conserves the
+  particle number, so each ensemble member is stored and stepped only in
+  the number sectors where it has amplitude (:func:`_sector_tables`), not on
+  all ``2^modes`` occupations.
 """
 
 from __future__ import annotations
@@ -480,8 +482,9 @@ class FockOracle:
             _reflector(Vc[:E, 0], E - 1), _reflector(Vc[E:, 1], 0))
 
         V = Q.conj().T @ _free_step(window, env, W) @ Q
-        self.G_E = gamma_blocks(V[:E, :E])
-        self.G_S = gamma_blocks(V[E:, E:])
+        # Gamma_p(V_E) and Gamma_q(V_S), indexed by particle number
+        self.G_E = [block for _, block in gamma_blocks(V[:E, :E])]
+        self.G_S = [block for _, block in gamma_blocks(V[E:, E:])]
         # the coupling on the oracle modes E-1, E, i.e. delta_0 (x) v and psi*
         self.k4 = gamma_dense(exchange_rotation(coupling.alpha))
 
@@ -599,10 +602,10 @@ class FockOracle:
                 block[i11] *= k4[3, 3]
                 out = np.empty(block.shape, dtype=complex)
                 for p, q, start, stop in pieces:
-                    n_e = len(self.G_E[p][0])
-                    piece = block[start:stop].reshape(n_e, -1, len(members))
-                    np.matmul(self.G_E[p][1], (self.G_S[q][1] @ piece).reshape(n_e, -1),
-                              out=out[start:stop].reshape(n_e, -1))
+                    G_E = self.G_E[p]
+                    piece = block[start:stop].reshape(len(G_E), -1, len(members))
+                    np.matmul(G_E, (self.G_S[q] @ piece).reshape(len(G_E), -1),
+                              out=out[start:stop].reshape(len(G_E), -1))
                 sectors.append((N, members, out))
             self._sectors = sectors
             self.t += 1
