@@ -391,9 +391,9 @@ def _sector_tables(E: int, d: int, N: int) -> tuple:
         pieces.append((p, N - p, start, start + len(env) * len(sample)))
         start = pieces[-1][-1]
     configs = np.concatenate(parts)
-    last_env, first_sample = 1 << d, 1 << (d - 1)
-    i10 = np.flatnonzero((configs & last_env > 0) & (configs & first_sample == 0))
-    i11 = np.flatnonzero((configs & last_env > 0) & (configs & first_sample > 0))
+    last_env, first_sample = 1 << d, 1 << (d - 1)     # modes E-1 and E
+    filled_e, filled_s = (configs & last_env) > 0, (configs & first_sample) > 0
+    i10, i11 = np.flatnonzero(filled_e & ~filled_s), np.flatnonzero(filled_e & filled_s)
     i01 = _row_of(configs, configs[i10] ^ (last_env | first_sample))
     _frozen(configs, i10, i01, i11)
     return configs, tuple(pieces), (i10, i01, i11)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,8 @@ from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
 from fermiwalk.simulate import (CovarianceState, FockOracle, _occupations, _reflector,
                                 finite_time_pair_expectation, flux_finite_time,
                                 gamma_blocks, gamma_columns, gamma_dense)
-from fermiwalk.walk import build_cycle_walk, cycle_star_vector, random_coin, rotation_coin
+from fermiwalk.walk import (UNIT_NORM_TOL, build_cycle_walk, cycle_star_vector, random_coin,
+                            rotation_coin)
 
 THETAS4 = (0.3, 0.8, 1.2, 0.5)
 
@@ -413,6 +416,14 @@ def test_fermion_ops_satisfy_car(D):
             assert abs(anti).max() <= 1e-12 and abs(same).max() <= 1e-12
 
 
+def jordan_wigner_two_point(oracle, ops) -> np.ndarray:
+    """``Sigma`` of the oracle's ``states`` from sparse Jordan-Wigner operators ``ops``."""
+    amp = oracle.states * np.sqrt(oracle.weights)
+    images = np.stack([c @ amp for c in ops]).reshape(oracle.D, -1)   # c_mu psi_k
+    sigma_o = images @ images.conj().T           # [nu, mu] = <c*_mu c_nu>
+    return oracle.Q @ sigma_o @ oracle.Q.conj().T
+
+
 def random_ensemble(dim, K, seed):
     """Random mixture of ``K`` normalised many-body states, without definite parity."""
     rng = np.random.default_rng(seed)
@@ -491,6 +502,60 @@ def test_oracle_two_point_matrix_is_periodic_covariance(instance):
         assert np.abs(oracle.two_point_matrix() - cov.sigma).max() <= tol
         oracle.step()
         cov.step()
+
+
+@st.composite
+def sector_instances(draw):
+    """An instance of :func:`oracle_instances` with a Gaussian or a user ensemble.
+
+    The Gaussian state has a sample symbol whose eigenvalues are 0, 1 or
+    fractional.  The user ensemble mixes particle numbers: one to three
+    random members spread over one to three sectors each, the reservoir
+    completely filled times a random sample state, and a random reservoir
+    state times the sample completely filled.  Those two reach the pieces
+    ``p = E`` and ``q = d``, where ``Gamma`` is ``det V_E`` and ``det V_S``.
+    """
+    env, W, coup, win = draw(oracle_instances())
+    E, d = win.env_dim, W.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        basis = random_coin(d, rng)
+        eigs = rng.choice([0.0, 1.0, rng.uniform(0.05, 0.95)], size=d)
+        xi = basis @ np.diag(eigs) @ basis.conj().T
+        return FockOracle(env, W, coup, win, sample_symbol=xi), env, W, coup, win
+
+    def random_state(n):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return x / np.linalg.norm(x)
+
+    D = E + d
+    counts = np.bitwise_count(np.arange(2 ** D))
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        numbers = rng.choice(D + 1, size=min(D + 1, rng.integers(1, 4)), replace=False)
+        x = random_state(2 ** D) * np.isin(counts, numbers)
+        members.append(x / np.linalg.norm(x))
+    members.append(np.kron(np.eye(2 ** E)[-1], random_state(2 ** d)))
+    members.append(np.kron(random_state(2 ** E), np.eye(2 ** d)[-1]))
+    weights = rng.uniform(0.5, 1.0, len(members))
+    oracle = FockOracle(env, W, coup, win,
+                        ensemble=(weights / weights.sum(), np.stack(members, axis=1)))
+    return oracle, env, W, coup, win
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sector_instances(), st.integers(1, 10))
+def test_sector_step_matches_dense_second_quantisation(instance, steps):
+    # each step against Gamma(Q* T Q) as a dense matrix on the assembled
+    # states, and each extraction against sparse Jordan-Wigner operators
+    oracle, env, W, coup, win = instance
+    G = gamma_dense(oracle.Q.conj().T @ one_step_joint_operator(win, env, W, coup) @ oracle.Q)
+    ops = sparse_fermion_ops(oracle.D)
+    for _ in range(steps):
+        expected = G @ oracle.states
+        oracle.step()
+        assert np.abs(oracle.states - expected).max() <= 1e-13
+        assert np.abs(oracle.two_point_matrix() - jordan_wigner_two_point(oracle, ops)).max() <= 1e-13
 
 
 @st.composite
@@ -798,13 +863,9 @@ class TestFockOracle:
         cdag = sum(f_o[mu] * ops[mu].conj().T for mu in range(D))
         for _ in range(4):
             oracle.step()
-            sigma_o = np.zeros((D, D), dtype=complex)
-            odd = 0.0
-            for w, psi_k in zip(oracle.weights, oracle.states.T):
-                cpsi = np.stack([c @ psi_k for c in ops], axis=1)
-                sigma_o += w * (cpsi.conj().T @ cpsi).T       # [nu, mu] = <c*_mu c_nu>
-                odd += w * np.vdot(psi_k, cdag @ psi_k)
-            sigma = oracle.Q @ sigma_o @ oracle.Q.conj().T
+            odd = sum(w * np.vdot(psi_k, cdag @ psi_k)
+                      for w, psi_k in zip(oracle.weights, oracle.states.T))
+            sigma = jordan_wigner_two_point(oracle, ops)
             assert np.abs(oracle.two_point_matrix() - sigma).max() <= 1e-13
             assert abs(odd) > 1e-3
             assert abs(oracle.odd_moment(f) - odd) <= 1e-13
@@ -817,6 +878,62 @@ class TestFockOracle:
         n0 = oracle.total_number()
         oracle.step(15)
         assert oracle.total_number() == pytest.approx(n0, abs=1e-12)
+
+    def test_step_count_zero_or_negative(self):
+        W, psi = rotation_walk((0.5, 1.1))
+        oracle = FockOracle(env_m1(), W, CouplingSpec(0.9, np.array([1.0]), psi),
+                            Window(-2, 1, 1))
+        before = oracle.states
+        assert oracle.step(0) is oracle
+        assert oracle.t == 0 and np.array_equal(oracle.states, before)
+        with pytest.raises(CouplingError, match="-3 steps back"):
+            oracle.step(-3)
+        assert oracle.t == 0 and np.array_equal(oracle.states, before)
+
+    def test_gaussian_members_are_stored_in_their_sector_only(self):
+        # the oracle workload's D = 12 window: 4 reservoir modes, all
+        # fractionally filled (K = 16), and an empty 8-mode sample; member j
+        # has one particle number N_j and holds C(D, N_j) amplitudes, 1,820
+        # of the 65,536 of a (2^D, K) array (2.8%), at every step
+        rng = np.random.default_rng(8)
+        W = build_cycle_walk(4, [random_coin(2, rng) for _ in range(4)])
+        coup = CouplingSpec(1.0, np.array([1.0]), cycle_star_vector(4))
+        oracle = FockOracle(env_m1(), W, coup, Window(-1, 2, 1))
+        numbers = [np.unique(np.bitwise_count(np.flatnonzero(column)))
+                   for column in oracle.states.T]
+        assert (oracle.D, len(numbers)) == (12, 16)
+        assert all(len(n) == 1 for n in numbers)
+        expected = sum(math.comb(oracle.D, int(n[0])) for n in numbers)
+        for _ in range(3):
+            assert sum(block.size for _, _, block in oracle._sectors) == expected == 1820
+            oracle.step()
+
+    @pytest.mark.parametrize("weights, scale, match", [
+        ([np.nan, 0.5, 0.5], 1.0, "weight of member 0 is nan"),
+        ([0.5, np.inf, 0.5], 1.0, "weight of member 1 is inf"),
+        ([0.5, -0.25, 0.75], 1.0, "weight of member 1 is -0.25"),
+        ([0.5, 0.25, 0.125], 1.0, "sum to 0.875, not 1"),
+        ([0.25, 0.25, 0.5], 3.0, "ensemble member 1 must be a unit vector, got norm 3"),
+        ([0.25, 0.25, 0.5], 1.0 + 1e-9, "ensemble member 1 must be a unit vector"),
+    ])
+    def test_user_ensemble_checked_where_it_enters(self, weights, scale, match):
+        W, psi = rotation_walk((0.5, 1.1))
+        coup = CouplingSpec(0.9, np.array([1.0]), psi)
+        _, states = random_ensemble(2 ** 8, 3, seed=16)
+        states[:, 1] *= scale
+        with pytest.raises(CouplingError, match=match):
+            FockOracle(env_m1(), W, coup, Window(-2, 1, 1), ensemble=(weights, states))
+
+    def test_user_ensemble_within_tolerance_accepted(self):
+        W, psi = rotation_walk((0.5, 1.1))
+        coup = CouplingSpec(0.9, np.array([1.0]), psi)
+        _, states = random_ensemble(2 ** 8, 3, seed=16)
+        states[:, 1] *= 1.0 + 0.5 * UNIT_NORM_TOL
+        oracle = FockOracle(env_m1(), W, coup, Window(-2, 1, 1),
+                            ensemble=([0.25, 0.25, 0.5], states))
+        assert oracle.total_number() == pytest.approx(
+            np.bitwise_count(np.arange(2 ** 8)) @ (np.abs(states) ** 2 @ [0.25, 0.25, 0.5]),
+            abs=1e-12)
 
     def test_odd_moments_vanish(self):
         env = env_m1()

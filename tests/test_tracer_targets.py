@@ -11,6 +11,7 @@ import os
 import sys
 import types
 
+import numpy as np
 import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
@@ -53,3 +54,24 @@ def test_target_resolves(module, path):
         assert target is None, f"{module}.{path} exists again: drop it from KNOWN_ABSENT"
     else:
         assert callable(target), f"perfbench traces fermiwalk.{module}.{path}, which is gone"
+
+
+def test_oracle_states_carry_the_ensemble_size():
+    # the tracer's oracle attributes read K as states.shape[1], after
+    # __init__ and after each step; states is assembled from the number
+    # sectors, (2^D, K) and read-only
+    from fermiwalk.coupling import CouplingSpec, Window
+    from fermiwalk.environment import EnvironmentSpec, SymbolFunction
+    from fermiwalk.simulate import FockOracle
+    from fermiwalk.walk import build_cycle_walk, cycle_star_vector, rotation_coin
+
+    env = EnvironmentSpec(np.eye(1), [SymbolFunction((0.5, 0.0, 0.125))])
+    W = build_cycle_walk(2, [rotation_coin(0.5), rotation_coin(1.1)])
+    oracle = FockOracle(env, W, CouplingSpec(0.9, np.array([1.0]), cycle_star_vector(2)),
+                        Window(-2, 1, 1))
+    for _ in range(2):
+        states = oracle.states
+        assert states.shape == (2 ** oracle.D, len(oracle.weights)) == (256, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            states[0, 0] = 1.0
+        oracle.step()
