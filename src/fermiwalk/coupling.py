@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .environment import EnvironmentSpec
-from .walk import check_unit_vector, chiral_spectrum
+from .walk import CoinedWalk, check_unit_vector, chiral_spectrum, walk_matrix
 
 __all__ = [
     "CouplingError",
@@ -128,7 +128,7 @@ class ContractionM:
     """
 
     matrix: np.ndarray
-    W: np.ndarray
+    W: np.ndarray | CoinedWalk
     psi_star: np.ndarray
     alpha: float
     pole: float | None = None
@@ -164,23 +164,28 @@ class ContractionM:
                 "formulas need a cyclic psi* and alpha not a multiple of pi")
 
 
-def build_contraction(W: np.ndarray, psi_star: np.ndarray, alpha: float,
+def build_contraction(W, psi_star: np.ndarray, alpha: float,
                       pole: float | None = None) -> ContractionM:
     """Assemble ``M = W (1 + (cos alpha - 1) P)`` with ``P`` projecting on ``psi*``.
 
     ``P`` has rank one, so ``M = W + (cos alpha - 1) (W psi*) psi*^H``: one
     matrix-vector product and one outer product, O(d^2).  ``pole``, a phase
     in a known spectral gap of ``W``, saves the spectral-radius solve the
-    search for one.  ``W`` unitary and ``psi*`` a unit vector are assumed, not
-    re-checked (pass a hand-built ``W`` through :func:`~fermiwalk.walk.check_unitary`).
+    search for one.  A :class:`~fermiwalk.walk.CoinedWalk` is kept as the
+    contraction's ``W``, so that the spectral radius reads its layers; only
+    ``M`` reads its ``matrix``.  ``W`` unitary and ``psi*`` a unit vector are
+    assumed, not re-checked (pass a hand-built ``W`` through
+    :func:`~fermiwalk.walk.check_unitary`).
     """
-    W = np.asarray(W, dtype=complex)
+    if not isinstance(W, CoinedWalk):
+        W = np.asarray(W, dtype=complex)
+    dense = walk_matrix(W)
     psi_star = np.asarray(psi_star, dtype=complex).reshape(-1)
-    M = W + np.outer((np.cos(alpha) - 1.0) * (W @ psi_star), psi_star.conj())
+    M = dense + np.outer((np.cos(alpha) - 1.0) * (dense @ psi_star), psi_star.conj())
     return ContractionM(M, W, psi_star, float(alpha), pole)
 
 
-def spectral_radius(W: np.ndarray, psi_star: np.ndarray, alpha: float,
+def spectral_radius(W, psi_star: np.ndarray, alpha: float,
                     pole: float | None = None) -> float:
     """``spr(M)`` for ``M = W (1 + (cos alpha - 1) P)``, from the secular equation.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coupling import CouplingError, build_contraction
 from .environment import SymbolFunction
-from .walk import (WalkError, _cycle_rows, _hop_after_coin, check_unitary, cycle_star_vector,
+from .walk import (CoinedWalk, WalkError, _cycle_rows, check_unitary, cycle_star_vector,
                    unitary_spectrum)
 
 # how far a custom phase may stray outside theta0 +- halfwidth by round-off
@@ -97,6 +97,10 @@ class DisorderModel:
             minus = np.asarray(self.inverse_cdf(rng.random(self.n)), dtype=float)
             lo, hi = self.support
             for phases in (plus, minus):
+                # a scalar would broadcast into a homogeneous ring
+                if phases.shape != (self.n,):
+                    raise WalkError(f"custom inverse_cdf must give one phase per vertex, "
+                                    f"shape ({self.n},), got shape {phases.shape}")
                 # the comparison is written so that NaN fails it too
                 inside = (phases >= lo - SUPPORT_SLACK) & (phases <= hi + SUPPORT_SLACK)
                 if not inside.all():
@@ -134,10 +138,14 @@ def disordered_coin(t: float, r: float, w_plus, w_minus) -> np.ndarray:
     return np.stack([minus * [t, r], plus * [-r, t]], axis=-2)
 
 
-def sample_disordered_walk(model: DisorderModel, sample_index: int = 0) -> np.ndarray:
-    """One ring walk ``W(omega)``, deterministic in ``(seed, sample_index)``; no coin check."""
+def sample_disordered_walk(model: DisorderModel, sample_index: int = 0) -> CoinedWalk:
+    """One ring walk ``W(omega)``, deterministic in ``(seed, sample_index)``; no coin check.
+
+    The walk keeps its hop and coin layers: its spectrum is solved from the
+    chiral square of the layers, and ``.matrix`` forms the ``2n x 2n`` array.
+    """
     plus, minus = model.sample_phases(sample_index)
-    return _hop_after_coin(_cycle_rows(model.n), disordered_coin(model.t, model.r, plus, minus))
+    return CoinedWalk(_cycle_rows(model.n), disordered_coin(model.t, model.r, plus, minus))
 
 
 @dataclass
@@ -159,7 +167,7 @@ class DOSEstimate:
         return float(np.sum(fn(self.bin_centers) * self.mass))
 
 
-def _eigenphases(W: np.ndarray, model: DisorderModel) -> np.ndarray:
+def _eigenphases(W: CoinedWalk, model: DisorderModel) -> np.ndarray:
     """Eigenphases in ``[0, 2 pi)`` of a walk ``W`` drawn from ``model``.
 
     The Cayley pole of :func:`~fermiwalk.walk.unitary_spectrum` sits at
@@ -309,7 +317,7 @@ def averaged_density(model: DisorderModel, F: SymbolFunction, alpha: float,
         return _trace_density(F, contraction.matrix), None
 
     def dos_value(index: int):
-        return _trace_density(F, sample_disordered_walk(model, samples + index))
+        return _trace_density(F, sample_disordered_walk(model, samples + index).matrix)
 
     trace_vals, dos_vals = _map_draws(samples, threads, trace_value, dos_value)
     skipped = [i for i, (v, _) in enumerate(trace_vals) if v is None]

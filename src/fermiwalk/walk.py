@@ -19,7 +19,10 @@ at half size: :func:`chiral_square` finds the halves and forms
 ``XY = W[P, Q] W[Q, P]``, since ``W^2 = diag(XY, YX)``, and the eigenvalues
 of ``W`` are ``+-sqrt(mu)`` over those ``mu`` of ``XY``.  This is the
 chiral symmetry ``Gamma W Gamma = -W`` of coined walks written as CMV
-matrices (Cantero, Grunbaum, Moral & Velazquez, *CPAM* 63, 2010).
+matrices (Cantero, Grunbaum, Moral & Velazquez, *CPAM* 63, 2010).  A
+:class:`CoinedWalk` keeps the hop and coin layers of ``W``, from which
+``XY`` is built in ``O(n k^3)`` without forming ``W``; a bare array is
+searched and multiplied densely.
 
 Whether a star vector is cyclic for ``W`` is decided by the contraction
 gate, in :func:`fermiwalk.coupling.is_cyclic`.
@@ -28,6 +31,7 @@ gate, in :func:`fermiwalk.coupling.is_cyclic`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -35,6 +39,8 @@ from scipy.linalg import lapack
 __all__ = [
     "WalkError",
     "WalkSpec",
+    "CoinedWalk",
+    "walk_matrix",
     "hadamard_coin",
     "rotation_coin",
     "random_coin",
@@ -158,6 +164,33 @@ def _cycle_rows(n: int) -> np.ndarray:
     """The rows of :func:`_hop_after_coin` on the cycle: spin -1 one vertex down, +1 up."""
     nu = np.arange(n)
     return np.stack([2 * ((nu - 1) % n), 2 * ((nu + 1) % n) + 1], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class CoinedWalk:
+    """A coined walk kept as its two layers, the arguments of :func:`_hop_after_coin`.
+
+    ``rows`` is the ``(n, k)`` array of hop targets and ``coins`` the
+    ``(n, k, k)`` coin stack; ``shape`` is that of the ``d x d`` unitary,
+    ``d = n k``, and ``matrix``, formed on first read, is the unitary itself.
+    :func:`chiral_square` reads the layers and never forms ``matrix``.
+    """
+
+    rows: np.ndarray
+    coins: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows.size, self.rows.size)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _hop_after_coin(self.rows, self.coins)
+
+
+def walk_matrix(W) -> np.ndarray:
+    """The dense unitary of a walk: a :class:`CoinedWalk`'s ``matrix``, or ``W`` as a complex array."""
+    return W.matrix if isinstance(W, CoinedWalk) else np.asarray(W, dtype=complex)
 
 
 def build_cycle_walk(n: int, coins) -> np.ndarray:
@@ -350,46 +383,104 @@ def _widest_gap_centre(phases: np.ndarray) -> float:
     return float(ordered[k] + 0.5 * gaps[k])
 
 
-def chiral_square(W: np.ndarray, psi: np.ndarray | None = None):
-    """``(XY, psi_P)`` when ``W`` swaps two halves ``P``, ``Q`` of the basis, else ``None``.
+def _two_colouring(neighbours: list, start: int = 0) -> np.ndarray | None:
+    """Colours 0/1 of the graph ``v -> neighbours[v]`` that give no edge one colour, else ``None``.
 
-    The support of ``W`` is two-coloured by a breadth-first search from
-    index 0 along the nonzero entries of each row, which meets every nonzero
-    entry of the rows it reaches.  The colouring counts only if it covers
-    every index, ``|P| = |Q|`` and no nonzero entry joins two indices of one
-    colour; then ``W = [[0, X], [Y, 0]]`` in the order ``(P, Q)``, ``W^2 =
-    diag(XY, YX)`` and ``XY = W[P, Q] W[Q, P]`` is unitary.  A given ``psi``
-    must vanish on one part, which becomes ``P`` (``None`` if it touches
-    both), and ``psi_P`` is its restriction; without ``psi``, ``P`` holds
-    index 0.  (The support of a unitary is a union of permutations, so the
-    search reaches every index joined to 0 by nonzero entries.)
+    A breadth-first search from ``start``; an index it does not reach keeps
+    the colour -1.  On the support of a unitary, or on the vertices of a
+    coined walk, every vertex has as many edges in as out, so the search
+    reaches every vertex joined to ``start`` and meets all their edges.
     """
-    d = W.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(W != 0), d)
-    starts = np.searchsorted(rows, np.arange(d + 1)).tolist()
-    cols = cols.tolist()
-    part = [-1] * d
-    part[0] = 0
-    frontier = [0]
+    part = [-1] * len(neighbours)
+    part[start] = 0
+    frontier = [start]
     while frontier:
         reached = []
         for v in frontier:
-            for u in cols[starts[v]:starts[v + 1]]:
+            for u in neighbours[v]:
                 if part[u] < 0:
                     part[u] = 1 - part[v]
                     reached.append(u)
                 elif part[u] == part[v]:
                     return None
         frontier = reached
-    part = np.array(part)
-    P, Q = np.flatnonzero(part == 0), np.flatnonzero(part == 1)
-    if 2 * P.size != d or 2 * Q.size != d:
+    return np.array(part)
+
+
+def _searched_halves(W: np.ndarray) -> np.ndarray | None:
+    """The two-colouring of the support of a bare ``W``, from index 0 along its nonzero entries."""
+    d = W.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(W != 0), d)
+    starts = np.searchsorted(rows, np.arange(d + 1)).tolist()
+    cols = cols.tolist()
+    return _two_colouring([cols[starts[v]:starts[v + 1]] for v in range(d)])
+
+
+def _layered_square(walk: CoinedWalk, in_P: np.ndarray) -> np.ndarray:
+    """``XY = W[P, Q] W[Q, P]`` from the coin layers, by one gather-product.
+
+    Column ``k nu + b`` of ``W`` is ``sum_a coins[nu, a, b] e_{rows[nu, a]}``,
+    so with ``(mu, c) = divmod(rows[nu, a], k)`` column ``k nu + b`` of
+    ``W^2`` is ``sum_{a, a'} coins[mu, a', c] coins[nu, a, b]
+    e_{rows[mu, a']}``: ``k^3`` terms for each vertex ``nu`` of ``P``, summed
+    where two paths meet (a ring of two vertices).  ``in_P`` marks the basis
+    states of ``P``, in ascending order on both halves.
+    """
+    rows, coins = walk.rows, walk.coins
+    n, k = rows.shape
+    # position of each state within its half
+    pos = np.where(in_P, np.cumsum(in_P), np.cumsum(~in_P)) - 1
+    source = np.flatnonzero(in_P[::k])
+    mid, c = np.divmod(rows[source], k)
+    terms = coins[mid, :, c][..., None] * coins[source][:, :, None, :]     # [nu, a, a', b]
+    out = pos[rows[mid]][..., None]
+    col = pos[k * source[:, None] + np.arange(k)][:, None, None, :]
+    h = n * k // 2
+    XY = np.zeros((h, h), dtype=complex)
+    np.add.at(XY, (out, col), terms)
+    return XY
+
+
+def chiral_square(W, psi: np.ndarray | None = None):
+    """``(XY, psi_P)`` when ``W`` swaps two halves ``P``, ``Q`` of the basis, else ``None``.
+
+    The halves are the two colours of a graph: for a :class:`CoinedWalk`,
+    the ``n`` vertices joined by its hops ``nu -> rows[nu, a] // k``, each
+    vertex carrying its ``k`` states, and ``XY`` comes from the coin layers
+    (:func:`_layered_square`, no ``d x d`` array); for a bare ``W``, the
+    support of ``W``, and ``XY`` is a dense product.  The colouring counts
+    only if it covers every index, ``|P| = |Q|`` and no edge joins two
+    indices of one colour; then ``W = [[0, X], [Y, 0]]`` in the order
+    ``(P, Q)``, ``W^2 = diag(XY, YX)`` and ``XY = W[P, Q] W[Q, P]`` is
+    unitary.  A given ``psi`` must vanish on one part, which becomes ``P``
+    (``None`` if it touches both), and ``psi_P`` is its restriction; without
+    ``psi``, ``P`` holds index 0.  The two graphs differ where a coin has a
+    zero entry: identity coins on a ring leave the support of ``W`` two
+    disjoint cycles, which no colouring from index 0 covers, while the
+    vertices still colour.
+    """
+    d = W.shape[0]
+    if isinstance(W, CoinedWalk):
+        k = W.rows.shape[1]
+        part = _two_colouring((W.rows // k).tolist())
+        part = None if part is None else np.repeat(part, k)
+    else:
+        part = _searched_halves(W)
+    if part is None:
         return None
-    if psi is not None and psi[Q].any():
-        if psi[P].any():
+    in_P = part == 0
+    if 2 * np.count_nonzero(in_P) != d or 2 * np.count_nonzero(part == 1) != d:
+        return None
+    if psi is not None and psi[~in_P].any():
+        if psi[in_P].any():
             return None
-        P, Q = Q, P
-    return W[P][:, Q] @ W[Q][:, P], None if psi is None else psi[P]
+        in_P = ~in_P
+    if isinstance(W, CoinedWalk):
+        XY = _layered_square(W, in_P)
+    else:
+        P, Q = np.flatnonzero(in_P), np.flatnonzero(~in_P)
+        XY = W[P][:, Q] @ W[Q][:, P]
+    return XY, None if psi is None else psi[in_P]
 
 
 def _pole_spectrum(W: np.ndarray, psi: np.ndarray | None,
@@ -403,7 +494,7 @@ def _pole_spectrum(W: np.ndarray, psi: np.ndarray | None,
     return phases, weights
 
 
-def chiral_spectrum(W: np.ndarray, psi: np.ndarray | None = None,
+def chiral_spectrum(W, psi: np.ndarray | None = None,
                     pole: float | None = None) -> tuple[np.ndarray, np.ndarray | None, bool]:
     """``(phases, weights, squared)``: the spectrum :func:`unitary_spectrum` derives W's from.
 
@@ -411,17 +502,17 @@ def chiral_spectrum(W: np.ndarray, psi: np.ndarray | None = None,
     eigenphases of ``XY`` and the weights of ``psi_P`` on its eigenvectors,
     solved at the pole ``2 pole``: both gaps of ``W`` at ``+-e^{i pole}``
     map onto the one gap of ``XY`` at ``e^{2i pole}``.  Otherwise they are
-    those of ``W`` itself.
+    those of ``W`` itself, a :class:`CoinedWalk` through its ``matrix``.
     """
     square = chiral_square(W, psi)
     if square is None:
-        return (*_pole_spectrum(W, psi, pole), False)
+        return (*_pole_spectrum(walk_matrix(W), psi, pole), False)
     return (*_pole_spectrum(*square, None if pole is None else 2.0 * pole), True)
 
 
-def unitary_spectrum(W: np.ndarray, psi: np.ndarray | None = None,
+def unitary_spectrum(W, psi: np.ndarray | None = None,
                      pole: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenphases in ``[0, 2 pi)`` of the unitary ``W`` and, given ``psi``, its weights.
+    """Eigenphases in ``[0, 2 pi)`` of the unitary ``W`` (array or :class:`CoinedWalk`) and weights.
 
     Returns ``(phases, weights)`` with ``weights[k] = |<x_k, psi>|^2`` on the
     eigenvector ``x_k`` of ``e^{i phases[k]}``, or ``None`` without ``psi``.

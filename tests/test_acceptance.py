@@ -342,7 +342,7 @@ def test_criterion_10_disorder():
     nz = dos.mass > 0
     assert phases_in_bands(dos.bin_centers[nz], bands, dilation=width).all()
     # band coverage: sampled extremes reach the exact edges within one bin
-    W = sample_disordered_walk(point, 0)
+    W = sample_disordered_walk(point, 0).matrix
     phases = ring_phases(W)
     # the half-size spectrum is the full one, on this draw
     full = np.angle(np.linalg.eigvals(W)) % (2 * np.pi)
@@ -357,7 +357,7 @@ def test_criterion_10_disorder():
                              theta0=0.7, halfwidth=0.05, seed=1)
     intervals = enlarged_band_intervals(interval)
     for idx in range(50):
-        ph = ring_phases(sample_disordered_walk(interval, idx))
+        ph = ring_phases(sample_disordered_walk(interval, idx).matrix)
         assert phases_in_bands(ph, intervals, dilation=1e-8).all()
 
     # averaged density: trace and density-of-states estimators agree at 3 sigma

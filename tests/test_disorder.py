@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -53,10 +56,10 @@ class TestModel:
     def test_reproducible_sampling(self):
         m = DisorderModel(t=T, r=R, n=16, distribution="uniform",
                           theta0=0.4, halfwidth=0.2, seed=9)
-        a = sample_disordered_walk(m, 3)
-        b = sample_disordered_walk(m, 3)
+        a = sample_disordered_walk(m, 3).matrix
+        b = sample_disordered_walk(m, 3).matrix
         assert np.array_equal(a, b)
-        c = sample_disordered_walk(m, 4)
+        c = sample_disordered_walk(m, 4).matrix
         assert not np.allclose(a, c)
 
     def test_coin_unitary(self):
@@ -89,6 +92,16 @@ class TestModel:
         with pytest.raises(WalkError, match="outside the support"):
             sample_disordered_walk(m, 0)
 
+    @pytest.mark.parametrize("inverse_cdf, shape", [
+        (lambda u: 0.45, "()"),              # one phase for the whole ring
+        (lambda u: np.full(3, 0.45), "(3,)"),
+    ])
+    def test_custom_phases_of_the_wrong_shape_raise(self, inverse_cdf, shape):
+        m = DisorderModel(t=T, r=R, n=8, distribution="custom", theta0=0.4,
+                          halfwidth=0.2, seed=9, inverse_cdf=inverse_cdf)
+        with pytest.raises(WalkError, match=re.escape(f"shape (8,), got shape {shape}")):
+            sample_disordered_walk(m, 0)
+
     def test_custom_phases_on_the_support_edges_pass(self):
         m = DisorderModel(t=T, r=R, n=4, distribution="custom", theta0=0.4,
                           halfwidth=0.2, seed=9,
@@ -110,12 +123,12 @@ class TestSpectra:
         m = DisorderModel(t=T, r=R, n=12, distribution="uniform",
                           theta0=0.4, halfwidth=0.2, seed=1)
         for idx in range(100):
-            W = sample_disordered_walk(m, idx)
+            W = sample_disordered_walk(m, idx).matrix
             assert np.linalg.norm(W.conj().T @ W - np.eye(24)) <= 1e-12
 
     def test_point_mass_spectrum_fills_exact_bands(self):
         m = DisorderModel(t=T, r=R, n=128, distribution="point", theta0=0.9)
-        phases = eigenphases(sample_disordered_walk(m, 0))
+        phases = eigenphases(sample_disordered_walk(m, 0).matrix)
         bands = exact_band_intervals(m)
         assert phases_in_bands(phases, bands, dilation=1e-10).all()
         # edges of the sampled spectrum reach the band edges
@@ -146,8 +159,8 @@ class TestSpectra:
                           theta0=0.4, halfwidth=0.1, seed=5)
         m_shift = DisorderModel(t=T, r=R, n=16, distribution="uniform",
                                 theta0=0.4 + 0.8, halfwidth=0.1, seed=5)
-        ph0 = np.sort(eigenphases(sample_disordered_walk(m, 2)))
-        ph1 = np.sort((eigenphases(sample_disordered_walk(m_shift, 2)) + 0.8) % (2 * np.pi))
+        ph0 = np.sort(eigenphases(sample_disordered_walk(m, 2).matrix))
+        ph1 = np.sort((eigenphases(sample_disordered_walk(m_shift, 2).matrix) + 0.8) % (2 * np.pi))
         assert np.abs(ph0 - ph1).max() <= 1e-10
 
     def test_interval_disorder_stays_in_enlarged_bands(self):
@@ -155,7 +168,7 @@ class TestSpectra:
                           theta0=0.7, halfwidth=0.05, seed=1)
         intervals = enlarged_band_intervals(m)
         for idx in range(20):
-            phases = eigenphases(sample_disordered_walk(m, idx))
+            phases = eigenphases(sample_disordered_walk(m, idx).matrix)
             assert phases_in_bands(phases, intervals, dilation=1e-8).all()
 
 
@@ -172,14 +185,14 @@ class TestEigenphases:
         # halfwidth >= arccos|t| closes the spectral gaps, so the strategy
         # covers gapless models, where the pole must be re-centred
         model, W = drawn_walk(t, theta0, halfwidth, n, seed)
-        assert circle_deviation(_eigenphases(W, model), eigenphases(W)) <= 1e-12
+        assert circle_deviation(_eigenphases(W, model), eigenphases(W.matrix)) <= 1e-12
 
     def test_gapless_ring_of_256(self):
         # one solve at the gap centre is off by 2e-12 on this draw: an
         # eigenvalue sits 1e-3 from the pole until the pole is re-centred
         model, W = drawn_walk(0.6, 0.4, 3.0, 256, 7)
         assert model.gap_halfwidth < 0
-        assert circle_deviation(_eigenphases(W, model), eigenphases(W)) <= 1e-12
+        assert circle_deviation(_eigenphases(W, model), eigenphases(W.matrix)) <= 1e-12
 
     def test_gap_contains_the_pole(self, monkeypatch):
         # the ring is solved through its chiral square, whose one gap at
@@ -230,6 +243,30 @@ class TestDensityOfStates:
         dos = density_of_states(m, samples=2, bins=256)
         assert dos.integrate(lambda th: np.ones_like(th)) == pytest.approx(1.0)
 
+    def test_draws_form_no_dense_walk(self, monkeypatch):
+        # a DOS draw solves the chiral square of its coin layers and never
+        # builds W; the square of one n = 1024 draw peaks at 16.3 MiB under
+        # tracemalloc (XY alone is 16 MiB), against 128 MiB for the dense W
+        # and its searched product, and 64 MiB for one d x d complex array
+        def refuse(*args):
+            raise AssertionError("a DOS draw built the dense walk")
+
+        monkeypatch.setattr(walk, "_hop_after_coin", refuse)
+        m = DisorderModel(t=T, r=R, n=64, distribution="uniform",
+                          theta0=0.4, halfwidth=0.1, seed=2)
+        dos = density_of_states(m, samples=3, bins=64)
+        assert dos.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.undo()
+        big = sample_disordered_walk(DisorderModel(t=T, r=R, n=1024, distribution="uniform",
+                                                   theta0=0.4, halfwidth=0.1, seed=2), 0)
+        tracemalloc.start()
+        try:
+            walk.chiral_square(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 ** 2 * np.dtype(complex).itemsize
+
     def test_threaded_merge_deterministic(self):
         m = DisorderModel(t=T, r=R, n=24, distribution="uniform",
                           theta0=0.2, halfwidth=0.1, seed=8)
@@ -261,7 +298,7 @@ class TestAveragedDensity:
         F = SymbolFunction((0.5, 0.1 + 0.05j, 0.125, 0.02, -0.01j, 0.003))
         samples, ref = 3, []
         for i in range(samples):
-            W = sample_disordered_walk(m, samples + i)
+            W = sample_disordered_walk(m, samples + i).matrix
             ref.append(np.sum(F.circle_density(eigenphases(W))) / n)
             assert _trace_density(F, W) == pytest.approx(ref[-1], abs=1e-14)
         res = averaged_density(m, F, alpha=0.3, samples=samples)

@@ -75,3 +75,25 @@ def test_oracle_states_carry_the_ensemble_size():
         with pytest.raises(ValueError, match="read-only"):
             states[0, 0] = 1.0
         oracle.step()
+
+
+def test_disorder_eigensolve_reads_the_ring_size(monkeypatch):
+    # the tracer's disorder.eigensolve attribute reads n as
+    # np.shape(a[0])[0] // 2 of the arguments _eigenphases gets; a draw is
+    # a CoinedWalk whose shape is that of its 2n x 2n unitary
+    from fermiwalk import disorder
+
+    attrs, = [fn for _, mod, path, fn in TARGETS if (mod, path) == ("disorder", "_eigenphases")]
+    calls = []
+    eigenphases = disorder._eigenphases
+
+    def recording(*args, **kwargs):
+        result = eigenphases(*args, **kwargs)
+        calls.append(attrs(args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(disorder, "_eigenphases", recording)
+    model = disorder.DisorderModel(t=0.8, r=0.6, n=12, distribution="uniform", theta0=0.7,
+                                   halfwidth=0.05, seed=3)
+    disorder.density_of_states(model, samples=2, bins=8)
+    assert calls == [{"n": 12}, {"n": 12}]

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermiwalk.coupling import is_cyclic
-from fermiwalk.walk import (WalkError, WalkSpec, build_cycle_walk,
+from fermiwalk.disorder import DisorderModel, sample_disordered_walk
+from fermiwalk.walk import (CoinedWalk, WalkError, WalkSpec, _cycle_rows, build_cycle_walk,
                             build_regular_graph_walk, check_unitary, chiral_square, cycle_index,
                             cycle_star_vector, hadamard_coin,
                             random_coin, rotation_coin, unitary_spectrum)
@@ -269,6 +270,44 @@ def test_unitary_spectrum_matches_dense_eigendecomposition(make, size, pole):
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def layered_walk(family, size, rng):
+    """A :class:`CoinedWalk` of one family, with its vertex sides: True on the half
+    of vertex 0, or None for an odd ring (and for a random graph, unknown)."""
+    if family == "hypercube":
+        # Q_r: colour a flips bit a; bipartite by the parity of the bit count
+        r = 1 + size % 4
+        nu = np.arange(2 ** r)
+        rows = r * (nu[:, None] ^ (1 << np.arange(r))) + np.arange(r)
+        coins = np.array([random_coin(r, rng) for _ in nu])
+        sides = np.array([bin(v).count("1") % 2 == 0 for v in nu])
+    elif family == "random graph":
+        # r random perfect matchings: multigraphs, bipartite or not, maybe disconnected
+        n, r = 2 * (1 + size % 4), 1 + size % 3
+        coloring = _random_coloring(n, r, rng)
+        rows = np.array([[r * coloring[(v, a)] + a for a in range(r)] for v in range(n)])
+        coins = np.array([random_coin(r, rng) for _ in range(n)])
+        walk = CoinedWalk(rows, coins)
+        assert np.array_equal(walk.matrix, build_regular_graph_walk(n, r, coloring, coins))
+        return walk, None
+    else:
+        n = size + 1
+        if family == "disorder":
+            t = rng.uniform(0.2, 0.95)
+            model = DisorderModel(t=t, r=np.sqrt(1 - t * t), n=n, distribution="uniform",
+                                  theta0=rng.uniform(0, 2 * np.pi), halfwidth=0.3,
+                                  seed=int(rng.integers(2 ** 31)))
+            coins = sample_disordered_walk(model, 0).coins
+        elif family == "rotation ring":
+            coins = np.array([rotation_coin(t) for t in rng.uniform(0, 2 * np.pi, n)])
+        else:
+            coins = np.array([random_coin(2, rng) for _ in range(n)])
+        rows = _cycle_rows(n)
+        sides = None if n % 2 else np.arange(n) % 2 == 0
+    walk = CoinedWalk(rows, coins)
+    assert walk.shape == walk.matrix.shape
+    return walk, sides
+
+
 class TestChiralSquare:
     def test_swap_walk_squares_to_one(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -299,3 +338,48 @@ class TestChiralSquare:
         assert chiral_square(even, np.full(8, 8 ** -0.5)) is None
         # identity coins leave two disjoint cycles: no colouring covers both
         assert chiral_square(build_cycle_walk(4, [np.eye(2)] * 4)) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(["haar ring", "rotation ring", "disorder", "hypercube",
+                                   "random graph"]),
+           size=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           star=st.sampled_from([None, "P", "Q", "both"]))
+    def test_layered_square_matches_the_dense_product(self, family, size, seed, star):
+        # a walk's coin layers give the same XY as the search of the dense
+        # W and its product, to a few eps; psi on the half of vertex 0, on
+        # the other half or on both (None from both paths), as do odd rings
+        # and graphs that are not bipartite
+        rng = np.random.default_rng(seed)
+        walk, sides = layered_walk(family, size, rng)
+        d = walk.shape[0]
+        W = walk.matrix
+        psi = None
+        if star is not None:
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            if star != "both" and sides is not None:
+                psi[np.repeat(sides, d // sides.size) == (star == "P")] = 0.0
+            psi /= np.linalg.norm(psi)
+        layered, dense = chiral_square(walk, psi), chiral_square(W, psi)
+        assert (layered is None) == (dense is None)
+        if family != "random graph":
+            assert (layered is None) == (sides is None or star == "both")
+        if layered is not None:
+            assert np.abs(layered[0] - dense[0]).max() <= 4 * np.finfo(float).eps
+            assert psi is None or np.array_equal(layered[1], dense[1])
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_layered_square_of_identity_coins(self, n):
+        # identity coins leave the support of W two disjoint cycles, so the
+        # dense search finds no halves; the vertices still colour, and the
+        # layered XY is the even block of W^2 and gives the whole spectrum
+        walk = CoinedWalk(_cycle_rows(n), np.tile(np.eye(2, dtype=complex), (n, 1, 1)))
+        W = walk.matrix
+        assert chiral_square(W) is None
+        XY, _ = chiral_square(walk)
+        even = (np.arange(2 * n) // 2) % 2 == 0
+        assert np.array_equal(W[np.ix_(even, even)], np.zeros((n, n)))
+        assert np.array_equal(XY, (W @ W)[np.ix_(even, even)])
+        # the n-th roots of unity, twice each, sorted from a cut between two of them
+        cut = np.pi / n
+        ref = np.sort((np.angle(np.linalg.eigvals(W)) + cut) % (2 * np.pi))
+        assert np.abs(np.sort((unitary_spectrum(walk)[0] + cut) % (2 * np.pi)) - ref).max() <= 1e-12
