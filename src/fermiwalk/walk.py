@@ -383,21 +383,22 @@ def _widest_gap_centre(phases: np.ndarray) -> float:
     return float(ordered[k] + 0.5 * gaps[k])
 
 
-def _two_colouring(neighbours: list, start: int = 0) -> np.ndarray | None:
-    """Colours 0/1 of the graph ``v -> neighbours[v]`` that give no edge one colour, else ``None``.
+def _two_colouring(starts: list, cols: list) -> np.ndarray | None:
+    """Colours 0/1 of a graph that give no edge one colour, else ``None``.
 
-    A breadth-first search from ``start``; an index it does not reach keeps
-    the colour -1.  On the support of a unitary, or on the vertices of a
-    coined walk, every vertex has as many edges in as out, so the search
-    reaches every vertex joined to ``start`` and meets all their edges.
+    The edges of vertex ``v`` go to ``cols[starts[v]:starts[v + 1]]``.  A
+    breadth-first search from vertex 0; a vertex it does not reach keeps the
+    colour -1.  On the support of a unitary, or on the vertices of a coined
+    walk, every vertex has as many edges in as out, so the search reaches
+    every vertex joined to 0 and meets all of their edges.
     """
-    part = [-1] * len(neighbours)
-    part[start] = 0
-    frontier = [start]
+    part = [-1] * (len(starts) - 1)
+    part[0] = 0
+    frontier = [0]
     while frontier:
         reached = []
         for v in frontier:
-            for u in neighbours[v]:
+            for u in cols[starts[v]:starts[v + 1]]:
                 if part[u] < 0:
                     part[u] = 1 - part[v]
                     reached.append(u)
@@ -407,37 +408,26 @@ def _two_colouring(neighbours: list, start: int = 0) -> np.ndarray | None:
     return np.array(part)
 
 
-def _searched_halves(W: np.ndarray) -> np.ndarray | None:
-    """The two-colouring of the support of a bare ``W``, from index 0 along its nonzero entries."""
-    d = W.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(W != 0), d)
-    starts = np.searchsorted(rows, np.arange(d + 1)).tolist()
-    cols = cols.tolist()
-    return _two_colouring([cols[starts[v]:starts[v + 1]] for v in range(d)])
-
-
-def _layered_square(walk: CoinedWalk, in_P: np.ndarray) -> np.ndarray:
+def _layered_square(walk: CoinedWalk, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """``XY = W[P, Q] W[Q, P]`` from the coin layers, by one gather-product.
 
     Column ``k nu + b`` of ``W`` is ``sum_a coins[nu, a, b] e_{rows[nu, a]}``,
     so with ``(mu, c) = divmod(rows[nu, a], k)`` column ``k nu + b`` of
     ``W^2`` is ``sum_{a, a'} coins[mu, a', c] coins[nu, a, b]
     e_{rows[mu, a']}``: ``k^3`` terms for each vertex ``nu`` of ``P``, summed
-    where two paths meet (a ring of two vertices).  ``in_P`` marks the basis
-    states of ``P``, in ascending order on both halves.
+    where two paths meet (a ring of two vertices).  ``P`` and ``Q`` hold
+    the ``k`` states of each of their vertices, in ascending order.
     """
     rows, coins = walk.rows, walk.coins
-    n, k = rows.shape
-    # position of each state within its half
-    pos = np.where(in_P, np.cumsum(in_P), np.cumsum(~in_P)) - 1
-    source = np.flatnonzero(in_P[::k])
+    k = rows.shape[1]
+    h = P.size
+    pos = np.empty(2 * h, dtype=int)            # the place of each state in its half
+    pos[P] = pos[Q] = np.arange(h)
+    source = P[::k] // k
     mid, c = np.divmod(rows[source], k)
     terms = coins[mid, :, c][..., None] * coins[source][:, :, None, :]     # [nu, a, a', b]
-    out = pos[rows[mid]][..., None]
-    col = pos[k * source[:, None] + np.arange(k)][:, None, None, :]
-    h = n * k // 2
     XY = np.zeros((h, h), dtype=complex)
-    np.add.at(XY, (out, col), terms)
+    np.add.at(XY, (pos[rows[mid]][..., None], pos[P].reshape(-1, 1, 1, k)), terms)
     return XY
 
 
@@ -461,26 +451,23 @@ def chiral_square(W, psi: np.ndarray | None = None):
     """
     d = W.shape[0]
     if isinstance(W, CoinedWalk):
-        k = W.rows.shape[1]
-        part = _two_colouring((W.rows // k).tolist())
+        n, k = W.rows.shape
+        part = _two_colouring(range(0, d + 1, k), (W.rows // k).ravel().tolist())
         part = None if part is None else np.repeat(part, k)
     else:
-        part = _searched_halves(W)
+        rows, cols = np.divmod(np.flatnonzero(W != 0), d)
+        part = _two_colouring(np.searchsorted(rows, np.arange(d + 1)).tolist(), cols.tolist())
     if part is None:
         return None
-    in_P = part == 0
-    if 2 * np.count_nonzero(in_P) != d or 2 * np.count_nonzero(part == 1) != d:
+    P, Q = np.flatnonzero(part == 0), np.flatnonzero(part == 1)
+    if 2 * P.size != d or 2 * Q.size != d:
         return None
-    if psi is not None and psi[~in_P].any():
-        if psi[in_P].any():
+    if psi is not None and psi[Q].any():
+        if psi[P].any():
             return None
-        in_P = ~in_P
-    if isinstance(W, CoinedWalk):
-        XY = _layered_square(W, in_P)
-    else:
-        P, Q = np.flatnonzero(in_P), np.flatnonzero(~in_P)
-        XY = W[P][:, Q] @ W[Q][:, P]
-    return XY, None if psi is None else psi[in_P]
+        P, Q = Q, P
+    XY = _layered_square(W, P, Q) if isinstance(W, CoinedWalk) else W[P][:, Q] @ W[Q][:, P]
+    return XY, None if psi is None else psi[P]
 
 
 def _pole_spectrum(W: np.ndarray, psi: np.ndarray | None,
