@@ -177,9 +177,9 @@ def build_contraction(W, psi_star: np.ndarray, alpha: float,
     assumed, not re-checked (pass a hand-built ``W`` through
     :func:`~fermiwalk.walk.check_unitary`).
     """
-    if not isinstance(W, CoinedWalk):
-        W = np.asarray(W, dtype=complex)
     dense = walk_matrix(W)
+    if not isinstance(W, CoinedWalk):
+        W = dense
     psi_star = np.asarray(psi_star, dtype=complex).reshape(-1)
     M = dense + np.outer((np.cos(alpha) - 1.0) * (dense @ psi_star), psi_star.conj())
     return ContractionM(M, W, psi_star, float(alpha), pole)

@@ -451,7 +451,7 @@ def chiral_square(W, psi: np.ndarray | None = None):
     """
     d = W.shape[0]
     if isinstance(W, CoinedWalk):
-        n, k = W.rows.shape
+        k = W.rows.shape[1]
         part = _two_colouring(range(0, d + 1, k), (W.rows // k).ravel().tolist())
         part = None if part is None else np.repeat(part, k)
     else:
