@@ -24,6 +24,7 @@ import numpy as np
 from .coupling import (ContractionM, CouplingError, CouplingSpec, build_contraction,
                        check_symbol_spectrum, orbit)
 from .environment import EnvironmentSpec, _series, hermitian_part
+from .walk import walk_matrix
 
 __all__ = [
     "AsymptoticState",
@@ -200,7 +201,7 @@ def flux_expectations(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingSpe
     w = coupling.weights(env)
     alpha = coupling.alpha
     psi = contraction.psi_star
-    m = orbit(contraction.matrix, contraction.W @ psi, env.max_degree) @ psi.conj()
+    m = orbit(contraction.matrix, walk_matrix(contraction.W) @ psi, env.max_degree) @ psi.conj()
     phi = _flux_form(env, w, 2.0 - 2.0 * np.cos(alpha), 2.0 * np.sin(alpha) ** 2, m)
     rates = small_alpha_flux_rate(env, w) if _weights_nondegenerate(w) else None
     return FluxResult(phi, w, alpha, rates)

@@ -466,7 +466,7 @@ def moller_sample_block(env: EnvironmentSpec, W: np.ndarray, coupling: CouplingS
     if t_max is None:
         t_max = contraction.truncation_horizon(tail_tol)
     window = Window(-(t_max + 1), 0, env.m)
-    rows = orbit(contraction.matrix, contraction.W @ psi_star, t_max + 1).conj()
+    rows = orbit(contraction.matrix, walk_matrix(contraction.W) @ psi_star, t_max + 1).conj()
     Uv = orbit(env.U, env.U @ coupling.v, t_max + 1)
     d = rows.shape[1]
     A = np.zeros((window.env_dim, d), dtype=complex)

@@ -34,7 +34,7 @@ from .coupling import (CouplingError, CouplingSpec, Window, _free_step, build_co
                        check_symbol_spectrum, coupling_plane, decay_certificate,
                        exchange_rotation, horizon, one_step_joint_operator, orbit)
 from .environment import EnvironmentSpec, build_truncated_symbol
-from .walk import check_unit_vector, householder_vector
+from .walk import check_unit_vector, householder_vector, walk_matrix
 
 __all__ = [
     "CovarianceState",
@@ -200,7 +200,7 @@ def finite_time_pair_expectation(env: EnvironmentSpec, W: np.ndarray,
     contraction = build_contraction(W, psi_star, alpha)
     M = contraction.matrix
     # g(s) = <psi*, W* M*^{s-1} vec> for s = 1..t, from the rows M^{s-1} W psi*
-    rows = orbit(M, contraction.W @ psi_star, t).conj()
+    rows = orbit(M, walk_matrix(contraction.W) @ psi_star, t).conj()
     g2 = rows @ np.asarray(vec2, dtype=complex)
 
     if kind == "ba":
@@ -377,10 +377,11 @@ def _sector_tables(E: int, d: int, N: int) -> tuple:
     Rows run by reservoir count ``p``, then reservoir configuration, then
     sample configuration (each ascending), so the piece of ``p`` and
     ``q = N - p`` particles is a contiguous ``(C(E, p), C(d, q))`` grid.
-    Returns ``(configs, pieces, pairs)``: the occupation index of every row
-    (mode 0 the top bit), the ``(p, q, start, stop)`` of each piece, and the
-    rows ``(i10, i01, i11)`` whose modes ``E-1, E`` hold ``10``, its partner
-    ``01`` (the same other modes) and ``11``.
+    Returns ``(configs, pieces, partner, s)``: the occupation index of every
+    row (mode 0 the top bit), the ``(p, q, start, stop)`` of each piece, the
+    row permutation that swaps each row whose modes ``E-1, E`` hold ``10``
+    with its ``01`` row (the same other modes) and fixes the ``00`` and
+    ``11`` rows, and the 2-bit state ``s`` of modes ``E-1, E`` in each row.
     """
     env_counts, sample_counts = _ranks(E)[0], _ranks(d)[0]
     parts, pieces, start = [], [], 0
@@ -391,12 +392,12 @@ def _sector_tables(E: int, d: int, N: int) -> tuple:
         pieces.append((p, N - p, start, start + len(env) * len(sample)))
         start = pieces[-1][-1]
     configs = np.concatenate(parts)
-    last_env, first_sample = 1 << d, 1 << (d - 1)     # modes E-1 and E
-    filled_e, filled_s = (configs & last_env) > 0, (configs & first_sample) > 0
-    i10, i11 = np.flatnonzero(filled_e & ~filled_s), np.flatnonzero(filled_e & filled_s)
-    i01 = _row_of(configs, configs[i10] ^ (last_env | first_sample))
-    _frozen(configs, i10, i01, i11)
-    return configs, tuple(pieces), (i10, i01, i11)
+    s = (configs >> (d - 1)) & 3                     # modes E-1 and E are bits d and d - 1
+    partner = np.arange(len(configs))
+    paired = np.flatnonzero((s == 1) | (s == 2))
+    partner[paired] = _row_of(configs, configs[paired] ^ (3 << (d - 1)))
+    _frozen(configs, partner, s)
+    return configs, tuple(pieces), partner, s
 
 
 def _row_of(configs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -406,24 +407,49 @@ def _row_of(configs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _annihilation_tables(E: int, d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where ``c_nu`` maps the ``N``-particle sector onto the ``(N - 1)``-particle one.
+def _annihilation_tables(E: int, d: int, N: int) -> np.ndarray:
+    """Where ``c_nu`` maps the ``N``-particle sector onto the ``(N - 1)``-particle one, signed.
 
-    Returns ``(rows, sign)``, both ``(D, C(D, N - 1))``: for mode ``nu`` and
-    the ``(N - 1)``-particle row ``y`` (in the order of
-    :func:`_sector_tables`), the ``N``-particle row of ``x = y + nu`` and the
-    Jordan-Wigner sign ``(-1)^(occupied modes before nu)`` of
-    ``c_nu|x> = sign |y>``; where ``nu`` is occupied in ``y``, row 0 and sign 0.
+    Returns a ``(D, C(D, N - 1))`` table into the stack ``[amp; -amp; 0]``
+    of an ``N``-particle block ``amp`` of ``R`` rows (:func:`_annihilated`):
+    for mode ``nu`` and the ``(N - 1)``-particle row ``y`` (in the order of
+    :func:`_sector_tables`), the ``N``-particle row of ``x = y + nu``, plus
+    ``R`` when the Jordan-Wigner string ``(-1)^(occupied modes before nu)``
+    of ``c_nu|x> = +-|y>`` is odd; where ``nu`` is occupied in ``y``, the
+    zero row ``2R``.
     """
     D = E + d
     below, configs = _sector_tables(E, d, N - 1)[0], _sector_tables(E, d, N)[0]
+    R = len(configs)
     bit = 1 << np.arange(D - 1, -1, -1)
-    rows = np.zeros((D, len(below)), dtype=np.intp)
-    sign = np.zeros((D, len(below)))
+    table = np.full((D, len(below)), 2 * R, dtype=np.intp)
     y, nu = np.nonzero((below[:, None] & bit) == 0)
-    rows[nu, y] = _row_of(configs, below[y] | bit[nu])
-    sign[nu, y] = 1.0 - 2.0 * (np.bitwise_count(below[y] & -2 * bit[nu]) & 1)
-    return _frozen(rows, sign)
+    odd = np.bitwise_count(below[y] & -2 * bit[nu]) & 1
+    table[nu, y] = _row_of(configs, below[y] | bit[nu]) + np.where(odd, R, 0)
+    return _frozen(table)[0]
+
+
+def _annihilated(E: int, d: int, N: int, block: np.ndarray, scale) -> np.ndarray:
+    """The images ``c_nu (scale * block)`` of an ``N``-particle block, ``(D, C(D, N - 1), K)``.
+
+    The stack ``[amp; -amp; 0]`` is filled once, and one ``take`` of
+    :func:`_annihilation_tables` gathers every mode's signed image; negation
+    is exact, so no product by a sign is formed.
+    """
+    R = len(block)
+    stack = np.empty((2 * R + 1,) + block.shape[1:], dtype=complex)
+    np.multiply(block, scale, out=stack[:R])
+    np.negative(stack[:R], out=stack[R:2 * R])
+    stack[2 * R] = 0.0
+    return stack.take(_annihilation_tables(E, d, N), axis=0)
+
+
+def _mix_pair(block: np.ndarray, partner: np.ndarray, diag: np.ndarray, off: np.ndarray):
+    """``x <- diag x + off x[partner]`` on the rows ``x`` of ``block``, in place."""
+    swapped = block.take(partner, axis=0)
+    swapped *= off
+    block *= diag
+    block += swapped
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +519,12 @@ class FockOracle:
             self.weights, self._sectors = self._gaussian_ensemble(sample_symbol)
         else:
             self.weights, self._sectors = self._user_ensemble(*ensemble)
+        # k4[s, s] and k4[s, 3 - s] on each row of a sector, s the state of modes E-1, E;
+        # k4 conserves the number, so k4[0, 3] = k4[3, 0] = 0 exactly
+        self._mix = {}
+        for N, _, _ in self._sectors:
+            s = _sector_tables(E, d, N)[3]
+            self._mix[N] = (self.k4[s, s][:, None], self.k4[s, 3 - s][:, None])
 
     def _user_ensemble(self, weights, columns) -> tuple[np.ndarray, list]:
         """A mixture of pure many-body states (amplitudes over the oracle's occupations).
@@ -556,7 +588,7 @@ class FockOracle:
         sectors = []
         for N in np.unique(p_of + q_of):
             members = np.flatnonzero(p_of + q_of == N)
-            _, pieces, _ = _sector_tables(E, d, N)
+            pieces = _sector_tables(E, d, N)[1]
             block = np.zeros((pieces[-1][-1], len(members)), dtype=complex)
             for p, q, start, stop in pieces:
                 here = np.flatnonzero(p_of[members] == p)
@@ -582,24 +614,22 @@ class FockOracle:
     def step(self, steps: int = 1) -> "FockOracle":
         """Advance ``steps`` steps: the coupling on modes ``E-1, E``, then ``G_S``, then ``G_E``.
 
-        In each sector the coupling ``k4`` mixes the paired rows ``10`` and
-        ``01`` of modes ``E-1, E`` and puts its phase on the rows ``11``; the
-        other rows it leaves alone.  Then each ``(p, q)`` piece, a
+        In each sector the coupling ``k4`` acts on the state ``s`` of modes
+        ``E-1, E`` row by row, ``x <- k4[s, s] x + k4[s, 3 - s] x[partner]``
+        (:func:`_mix_pair`): one ``take`` pairs each ``10`` row with its
+        ``01`` row, and the ``00`` and ``11`` rows, their own partners, meet
+        an exact zero.  Then each ``(p, q)`` piece, a
         contiguous ``(C(E, p), C(d, q), K_N)`` array, takes ``Gamma_q(V_S)`` and
         ``Gamma_p(V_E)`` as two matrix products.  Each step writes new blocks,
         so an array :attr:`states` returned earlier is never changed.
         """
         if steps < 0:
             raise CouplingError(f"cannot step a Fock oracle {steps} steps back")
-        k4 = self.k4
         for _ in range(steps):
             sectors = []
             for N, members, block in self._sectors:
-                _, pieces, (i10, i01, i11) = _sector_tables(self.E, self.d, N)
-                x10, x01 = block[i10], block[i01]
-                block[i10] = k4[2, 2] * x10 + k4[2, 1] * x01
-                block[i01] = k4[1, 2] * x10 + k4[1, 1] * x01
-                block[i11] *= k4[3, 3]
+                _, pieces, partner, _ = _sector_tables(self.E, self.d, N)
+                _mix_pair(block, partner, *self._mix[N])
                 out = np.empty(block.shape, dtype=complex)
                 for p, q, start, stop in pieces:
                     G_E = self.G_E[p]
@@ -617,8 +647,8 @@ class FockOracle:
         """Joint covariance ``Sigma[g, f] = <c*(e_f) c(e_g)>`` in canonical coordinates.
 
         In oracle modes ``<c*_mu c_nu> = sum_k w_k <c_mu psi_k, c_nu psi_k>``.
-        In each sector one gather from :func:`_annihilation_tables` stacks
-        the images ``c_nu psi_k`` of every mode as the rows of a
+        In each sector one signed ``take`` (:func:`_annihilated`) stacks the
+        images ``c_nu sqrt(w_k) psi_k`` of every mode as the rows of a
         ``(D, C(D, N - 1) K_N)`` matrix ``A``, and the sector adds ``A A*``,
         diagonal included.
         """
@@ -626,11 +656,13 @@ class FockOracle:
         sigma_o = np.zeros((D, D), dtype=complex)
         for N, members, block in self._sectors:
             if N:
-                rows, sign = _annihilation_tables(self.E, self.d, N)
-                amp = block * np.sqrt(self.weights[members])
-                A = (amp[rows] * sign[:, :, None]).reshape(D, -1)
+                A = self._images(N, members, block).reshape(D, -1)
                 sigma_o += A @ A.conj().T
         return self.Q @ sigma_o @ self.Q.conj().T
+
+    def _images(self, N: int, members: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """``c_nu sqrt(w_k) psi_k`` for every mode ``nu`` and member ``k`` of an ``N``-block."""
+        return _annihilated(self.E, self.d, N, block, np.sqrt(self.weights[members]))
 
     def _row_probabilities(self, members: np.ndarray, block: np.ndarray) -> np.ndarray:
         """Ensemble-weighted probability of each row of one sector."""
@@ -680,18 +712,24 @@ class FockOracle:
     def odd_moment(self, f: np.ndarray) -> complex:
         """``<c*(f)>`` for a canonical joint vector ``f`` (zero for even states).
 
-        ``<c*_mu>`` pairs the amplitudes of occupations with ``mu`` filled
-        against those with ``mu`` empty, signed by ``(-1)^(occupied modes
-        before mu)``.
+        ``<c*_mu> = sum_k w_k <c_mu psi_k, psi_k>`` pairs each member's
+        image of its ``N``-block, from the signed table of
+        :meth:`two_point_matrix`, with its ``(N - 1)``-block.
         """
         f_o = self.Q.conj().T @ np.asarray(f, dtype=complex)
-        amp = self.states * np.sqrt(self.weights)
-        string_sign = np.where(np.bitwise_count(np.arange(2 ** (self.D - 1))) & 1, -1, 1)
-        total = 0.0 + 0.0j
-        for mu in range(self.D):
-            a = amp.reshape(2 ** mu, 2, -1)
-            total += f_o[mu] * (np.vecdot(a[:, 1], a[:, 0]) @ string_sign[:2 ** mu])
-        return complex(total)
+        by_number = {N: (members, block) for N, members, block in self._sectors}
+        moments = np.zeros(self.D, dtype=complex)
+        for N, members, block in self._sectors:
+            if N - 1 not in by_number:
+                continue
+            low_members, low = by_number[N - 1]
+            common, here, there = np.intersect1d(members, low_members, assume_unique=True,
+                                                 return_indices=True)
+            if common.size:
+                images = self._images(N, common, block[:, here]).reshape(self.D, -1)
+                low = low[:, there] * np.sqrt(self.weights[common])
+                moments += np.vecdot(images, low.ravel())
+        return complex(f_o @ moments)
 
 
 def _reflector(x: np.ndarray, k: int) -> np.ndarray:

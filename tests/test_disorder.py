@@ -7,14 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermiwalk import walk
-from fermiwalk.coupling import SPR_MAX, build_contraction
+from fermiwalk.asymptotics import flux_expectations
+from fermiwalk.coupling import SPR_MAX, CouplingSpec, build_contraction, moller_sample_block
 from fermiwalk.disorder import (AveragedDensityResult, DisorderModel,
                                 _eigenphases, _trace_density,
                                 averaged_density, density_of_states,
                                 disordered_coin, enlarged_band_intervals,
                                 exact_band_intervals, phases_in_bands,
                                 sample_disordered_walk)
-from fermiwalk.environment import SymbolFunction, eval_series, hermitian_part
+from fermiwalk.environment import EnvironmentSpec, SymbolFunction, eval_series, hermitian_part
+from fermiwalk.simulate import finite_time_pair_expectation
 from fermiwalk.walk import WalkError, build_cycle_walk, cycle_star_vector
 
 
@@ -116,6 +118,29 @@ class TestModel:
         assert stack.shape == (9, 2, 2)
         for k in range(9):
             assert np.array_equal(stack[k], disordered_coin(T, R, plus[k], minus[k]))
+
+
+def test_coined_draw_enters_the_orbit_callers():
+    # the three callers that start an orbit of M from W psi* read a draw's
+    # dense matrix, and give what they give on draw.matrix, bit for bit
+    model = DisorderModel(t=T, r=R, n=8, distribution="uniform", theta0=0.4,
+                          halfwidth=0.3, seed=5)
+    draw = sample_disordered_walk(model, 2)
+    env = EnvironmentSpec(np.diag([1.0, np.exp(0.7j)]),
+                          [SymbolFunction((0.5, 0.1, 0.05)), SymbolFunction((0.3,))])
+    coup = CouplingSpec(1.0, np.array([np.sqrt(0.4), np.sqrt(0.6)]), cycle_star_vector(8))
+    rng = np.random.default_rng(7)
+    f, g = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    reservoir = [(0, env.eigenvectors[:, 0]), (1, env.eigenvectors[:, 1])]
+
+    def outputs(W):
+        A, window = moller_sample_block(env, W, coup, t_max=40)
+        return (A, window, flux_expectations(env, W, coup).phi,
+                finite_time_pair_expectation(env, W, coup, "aa", f, g, 12),
+                finite_time_pair_expectation(env, W, coup, "ba", reservoir, g, 12))
+
+    for got, expected in zip(outputs(draw), outputs(draw.matrix), strict=True):
+        assert np.array_equal(got, expected)
 
 
 class TestSpectra:

@@ -14,7 +14,8 @@ from fermiwalk.coupling import (CouplingError, CouplingSpec, Window, build_contr
                                 one_step_joint_operator, shift_matrix)
 from fermiwalk.environment import (EnvironmentSpec, SymbolFunction,
                                    build_truncated_symbol)
-from fermiwalk.simulate import (CovarianceState, FockOracle, _occupations, _reflector,
+from fermiwalk.simulate import (CovarianceState, FockOracle, _annihilated, _mix_pair,
+                                _occupations, _reflector, _sector_tables,
                                 finite_time_pair_expectation, flux_finite_time,
                                 gamma_blocks, gamma_columns, gamma_dense)
 from fermiwalk.walk import (UNIT_NORM_TOL, build_cycle_walk, cycle_star_vector, random_coin,
@@ -556,6 +557,47 @@ def test_sector_step_matches_dense_second_quantisation(instance, steps):
         oracle.step()
         assert np.abs(oracle.states - expected).max() <= 1e-13
         assert np.abs(oracle.two_point_matrix() - jordan_wigner_two_point(oracle, ops)).max() <= 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_signed_take_is_jordan_wigner_annihilation(E, d, seed):
+    # on every sector of E + d modes, the signed take of a random scaled
+    # block is c_nu of the embedded vector, read on the (N - 1)-particle rows
+    D = E + d
+    ops = sparse_fermion_ops(D)
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 1.0, 2)
+    for N in range(1, D + 1):
+        configs, below = _sector_tables(E, d, N)[0], _sector_tables(E, d, N - 1)[0]
+        block = rng.standard_normal((len(configs), 2)) + 1j * rng.standard_normal((len(configs), 2))
+        embedded = np.zeros((2 ** D, 2), dtype=complex)
+        embedded[configs] = block * scale
+        images = _annihilated(E, d, N, block, scale)
+        assert images.shape == (D, len(below), 2)
+        for nu in range(D):
+            assert np.array_equal(images[nu], (ops[nu] @ embedded)[below])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 6), st.floats(0.0, 2 * np.pi),
+       st.integers(0, 2 ** 32 - 1))
+def test_pair_mix_is_the_exchange_on_modes_e_minus_1_and_e(E, d, alpha, seed):
+    # x <- k4[s, s] x + k4[s, 3 - s] x[partner] on every sector equals
+    # Gamma(R(alpha)) on the modes E-1, E of the embedded vector
+    k4 = gamma_dense(exchange_rotation(alpha))
+    assert k4[0, 3] == k4[3, 0] == 0.0
+    dense = sp.kron(sp.identity(2 ** (E - 1)),
+                    sp.kron(sp.csr_matrix(k4), sp.identity(2 ** (d - 1))), format="csr")
+    rng = np.random.default_rng(seed)
+    for N in range(E + d + 1):
+        configs, _, partner, s = _sector_tables(E, d, N)
+        assert np.array_equal(partner[partner], np.arange(len(configs)))
+        block = rng.standard_normal((len(configs), 2)) + 1j * rng.standard_normal((len(configs), 2))
+        embedded = np.zeros((2 ** (E + d), 2), dtype=complex)
+        embedded[configs] = block
+        _mix_pair(block, partner, k4[s, s][:, None], k4[s, 3 - s][:, None])
+        assert np.abs(block - (dense @ embedded)[configs]).max() <= 4 * np.finfo(float).eps
 
 
 @st.composite
