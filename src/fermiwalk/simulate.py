@@ -656,13 +656,10 @@ class FockOracle:
         sigma_o = np.zeros((D, D), dtype=complex)
         for N, members, block in self._sectors:
             if N:
-                A = self._images(N, members, block).reshape(D, -1)
+                A = _annihilated(self.E, self.d, N, block, np.sqrt(self.weights[members]))
+                A = A.reshape(D, -1)
                 sigma_o += A @ A.conj().T
         return self.Q @ sigma_o @ self.Q.conj().T
-
-    def _images(self, N: int, members: np.ndarray, block: np.ndarray) -> np.ndarray:
-        """``c_nu sqrt(w_k) psi_k`` for every mode ``nu`` and member ``k`` of an ``N``-block."""
-        return _annihilated(self.E, self.d, N, block, np.sqrt(self.weights[members]))
 
     def _row_probabilities(self, members: np.ndarray, block: np.ndarray) -> np.ndarray:
         """Ensemble-weighted probability of each row of one sector."""
@@ -726,9 +723,9 @@ class FockOracle:
             common, here, there = np.intersect1d(members, low_members, assume_unique=True,
                                                  return_indices=True)
             if common.size:
-                images = self._images(N, common, block[:, here]).reshape(self.D, -1)
-                low = low[:, there] * np.sqrt(self.weights[common])
-                moments += np.vecdot(images, low.ravel())
+                scale = np.sqrt(self.weights[common])
+                images = _annihilated(self.E, self.d, N, block[:, here], scale)
+                moments += np.vecdot(images.reshape(self.D, -1), (low[:, there] * scale).ravel())
         return complex(f_o @ moments)
 
 
